@@ -119,7 +119,7 @@ func BenchmarkGenerate(b *testing.B) {
 func BenchmarkTable7Grid(b *testing.B) {
 	g := benchGraph(b, "Facebook")
 	rng := rand.New(rand.NewSource(1))
-	truth := core.ComputeProfile(g, core.ProfileOptions{}, rng)
+	truth := core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
 	alg, err := core.NewAlgorithm("PrivGraph")
 	if err != nil {
 		b.Fatal(err)
@@ -131,7 +131,7 @@ func BenchmarkTable7Grid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prof := core.ComputeProfile(syn, core.ProfileOptions{}, r)
+		prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{}, r.Int63())
 		for _, q := range core.AllQueries() {
 			core.Score(q, truth, prof)
 		}
@@ -145,7 +145,7 @@ func BenchmarkFig2Cells(b *testing.B) {
 		b.Run(dsName, func(b *testing.B) {
 			g := benchGraph(b, dsName)
 			rng := rand.New(rand.NewSource(2))
-			truth := core.ComputeProfile(g, core.ProfileOptions{}, rng)
+			truth := core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
 			alg, _ := core.NewAlgorithm("TmF")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -154,7 +154,7 @@ func BenchmarkFig2Cells(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				prof := core.ComputeProfile(syn, core.ProfileOptions{}, r)
+				prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{}, r.Int63())
 				for _, q := range core.Fig2Queries() {
 					core.Score(q, truth, prof)
 				}
@@ -235,7 +235,7 @@ func BenchmarkTriangles(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", mode.name, size.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					stats.TrianglesParallel(g, mode.workers, nil)
+					stats.Triangles(g, mode.workers, nil)
 				}
 			})
 		}
@@ -259,14 +259,14 @@ func BenchmarkBFS(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/exact", mode.name), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				stats.ExactDistancesParallel(small, mode.workers, nil)
+				stats.ExactDistances(small, mode.workers, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/sampled", mode.name), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				stats.SampledDistancesParallel(large, 128, rng, mode.workers, nil)
+				stats.SampledDistances(large, 128, rng, mode.workers, nil)
 			}
 		})
 	}
@@ -288,7 +288,7 @@ func BenchmarkANF(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				stats.ANFDistancesParallel(g, rng, mode.workers, nil)
+				stats.ANFDistances(g, rng, mode.workers, nil)
 			}
 		})
 	}
@@ -303,7 +303,7 @@ func BenchmarkQueries(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				core.ComputeProfile(g, core.ProfileOptions{}, rng)
+				core.ComputeProfileSeeded(g, core.ProfileOptions{}, rng.Int63())
 			}
 		})
 	}
@@ -418,7 +418,7 @@ func BenchmarkDatasets(b *testing.B) {
 	for _, name := range pgb.Datasets() {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := pgb.LoadDataset(name, benchScale, int64(i)); err != nil {
+				if _, err := pgb.Load(pgb.Source{Dataset: name, Scale: benchScale, Seed: int64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,39 +6,21 @@ import (
 	"pgb/internal/graph"
 )
 
-// flags.go is the shared flag vocabulary of the pgb subcommands. Every
-// flag that appears on more than one subcommand is registered through
-// exactly one helper here, so its name, alias, default, and help text
-// cannot drift between commands:
+// flags.go holds the flag shared verbatim by several pgb subcommands,
+// so its name, default and help text cannot drift between commands:
 //
-//	flag       alias (deprecated)   commands                  meaning
-//	-jobs      -parallel            grid commands, serve      parallelism budget
-//	-snapshot                       grid commands, ingest,    snapshot store directory
-//	                                serve                     (written by `pgb ingest`)
-//	-data-dir  -data                serve                     run-manifest directory
+//	flag       commands                        meaning
+//	-snapshot  grid commands, ingest, serve    snapshot store directory
+//	                                           (written by `pgb ingest`)
 //
-// The deprecated aliases are kept as plain secondary registrations of
-// the same variable: both spellings parse, -h documents the alias as
-// deprecated, and removing an alias later is a one-line change here.
-
-// addJobsFlag registers -jobs and its deprecated -parallel alias.
-func addJobsFlag(fs *flag.FlagSet, def int, help string) *int {
-	jobs := fs.Int("jobs", def, help)
-	fs.IntVar(jobs, "parallel", def, "deprecated alias for -jobs")
-	return jobs
-}
+// -jobs also appears on the grid commands and serve, but with a
+// different default and meaning on each (grid cells vs the job pool),
+// so each command registers its own.
 
 // addSnapshotFlag registers -snapshot, the snapshot store directory.
 func addSnapshotFlag(fs *flag.FlagSet, def string) *string {
 	return fs.String("snapshot", def,
 		"snapshot store directory (written by `pgb ingest`); dataset references found there load from their CSR snapshots instead of being regenerated")
-}
-
-// addDataDirFlag registers -data-dir and its deprecated -data alias.
-func addDataDirFlag(fs *flag.FlagSet, def string) *string {
-	dir := fs.String("data-dir", def, "directory for run manifests; manifests found at startup are adopted and resumed")
-	fs.StringVar(dir, "data", def, "deprecated alias for -data-dir")
-	return dir
 }
 
 // openSnapshotStore opens the store named by a -snapshot flag; the

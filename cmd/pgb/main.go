@@ -21,9 +21,8 @@
 // -datasets, -queries (comma lists), -jobs (concurrent grid cells),
 // -checkpoint FILE (durable JSONL run manifest), -resume FILE (continue
 // an interrupted checkpointed run), -snapshot DIR (resolve datasets
-// through an ingested snapshot store), -v (progress to stderr). Shared
-// flags are defined once in flags.go; see its table for the deprecated
-// aliases (-parallel for -jobs, -data for -data-dir).
+// through an ingested snapshot store), -v (progress to stderr). Flags
+// shared verbatim between subcommands are defined once in flags.go.
 package main
 
 import (
@@ -128,11 +127,11 @@ commands:
               cmd/fidelitygate against FIDELITY_BASELINE.json
   version     print the build identification (also GET /version)
 
-grid commands accept -jobs N (parallel cells; -parallel is a deprecated
-alias), -checkpoint FILE (durable JSONL run manifest; rerun with the
-same path to resume), -resume FILE (continue an interrupted run,
-restoring its configuration) and -snapshot DIR (resolve datasets through
-a store written by pgb ingest; results are identical either way).`)
+grid commands accept -jobs N (parallel cells), -checkpoint FILE
+(durable JSONL run manifest; rerun with the same path to resume),
+-resume FILE (continue an interrupted run, restoring its configuration)
+and -snapshot DIR (resolve datasets through a store written by pgb
+ingest; results are identical either way).`)
 }
 
 type gridFlags struct {
@@ -166,7 +165,7 @@ func newGridFlags(name string) *gridFlags {
 		queriesStr: fs.String("queries", "", "comma-separated query symbols to evaluate, e.g. CD,Mod,DegDist (default: all fifteen)"),
 		distance:   fs.String("distance", "", "distance-query estimator: auto (exact small/sampled large, the default), exact, sampled, or anf (HyperANF, bounded error)"),
 		verbose:    fs.Bool("v", false, "print per-cell progress to stderr"),
-		jobs:       addJobsFlag(fs, 0, "max concurrent grid cells (0 = GOMAXPROCS); results are identical at any -jobs"),
+		jobs:       fs.Int("jobs", 0, "max concurrent grid cells (0 = GOMAXPROCS); results are identical at any -jobs"),
 		checkpoint: fs.String("checkpoint", "", "stream finished cells to this JSONL run manifest; rerunning with the same path resumes an interrupted run"),
 		resume:     fs.String("resume", "", "resume from this run manifest, restoring its whole grid configuration (other grid flags are ignored)"),
 		snapshot:   addSnapshotFlag(fs, ""),

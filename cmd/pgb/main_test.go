@@ -84,3 +84,11 @@ func TestCmdAblationUnknown(t *testing.T) {
 		t.Fatal("unknown ablation accepted")
 	}
 }
+
+// pgb serve must bound how long a client may take to send its headers.
+func TestServeHTTPServerHasReadHeaderTimeout(t *testing.T) {
+	hs := newHTTPServer(":0", nil)
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+}

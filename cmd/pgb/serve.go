@@ -25,8 +25,8 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	dataDir := addDataDirFlag(fs, "pgb-serve-data")
-	workers := addJobsFlag(fs, 1, "concurrent grid-run jobs (the async worker pool)")
+	dataDir := fs.String("data-dir", "pgb-serve-data", "directory for run manifests; manifests found at startup are adopted and resumed")
+	workers := fs.Int("jobs", 1, "concurrent grid-run jobs (the async worker pool)")
 	runWorkers := fs.Int("run-jobs", 1, "parallelism budget inside each run (grid cells + kernels)")
 	cacheN := fs.Int("cache", 128, "content-addressed result cache entries")
 	snapDir := addSnapshotFlag(fs, "")
@@ -58,7 +58,7 @@ func cmdServe(args []string) error {
 	}
 	defer srv.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	drained := make(chan struct{})
@@ -67,7 +67,7 @@ func cmdServe(args []string) error {
 		<-ctx.Done()
 		// Graceful drain: running jobs are cancelled between cells and
 		// their manifests keep everything finished so far; a later
-		// `pgb serve` over the same -data resumes them.
+		// `pgb serve` over the same -data-dir resumes them.
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = hs.Shutdown(sctx)
@@ -81,6 +81,17 @@ func cmdServe(args []string) error {
 	<-drained
 	logger.Printf("shut down; run manifests in %s resume on restart", *dataDir)
 	return nil
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a connection
+// open forever. Request bodies and responses are not bounded: compare
+// requests upload whole graphs and SSE streams stay open for a run.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the http.Server that pgb serve listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // cmdVersion prints the build identification served on GET /version.

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	const dataset = "Wiki"
-	g, err := pgb.LoadDataset(dataset, 0.08, 42)
+	g, err := pgb.Load(pgb.Source{Dataset: dataset, Scale: 0.08, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

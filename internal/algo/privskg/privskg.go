@@ -18,6 +18,7 @@ import (
 	"pgb/internal/dp"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
+	"pgb/internal/stats"
 )
 
 // Options configures PrivSKG.
@@ -76,11 +77,7 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.
 	// Moment 2: wedge count Σ C(d_u, 2). Flipping one edge changes two
 	// degrees by 1, changing the count by d_u + d_v ≤ 2·d_max; at Hamming
 	// distance t the bound grows to 2(d_max + t).
-	wedges := 0.0
-	for u := 0; u < n; u++ {
-		d := float64(g.Degree(int32(u)))
-		wedges += d * (d - 1) / 2
-	}
+	wedges := stats.Wedges(g)
 	sWedge := dp.SmoothSensitivity(beta, n, func(t int) float64 {
 		ls := 2 * (dmax + float64(t))
 		if max := float64(n) * 2; ls > max {
@@ -92,7 +89,7 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.
 
 	// Moment 3: triangle count. Local sensitivity at distance t is
 	// bounded by the max common-neighbor count + t ≤ d_max + t.
-	tri := countTriangles(g)
+	tri := stats.Triangles(g, 1, nil)
 	sTri := dp.SmoothSensitivity(beta, n, func(t int) float64 {
 		ls := dmax + float64(t)
 		if max := float64(n); ls > max {
@@ -113,36 +110,4 @@ func (p *PrivSKG) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.
 		target = maxEdges
 	}
 	return gen.SampleKronecker(init, k, n, target, rng), nil
-}
-
-// countTriangles is a local forward-intersection count (duplicated from
-// stats to keep algo packages free of a stats dependency).
-func countTriangles(g *graph.Graph) float64 {
-	n := g.N()
-	count := 0.0
-	mark := make([]bool, n)
-	for u := 0; u < n; u++ {
-		nb := g.Neighbors(int32(u))
-		for _, v := range nb {
-			if v > int32(u) {
-				mark[v] = true
-			}
-		}
-		for _, v := range nb {
-			if v <= int32(u) {
-				continue
-			}
-			for _, w := range g.Neighbors(v) {
-				if w > v && mark[w] {
-					count++
-				}
-			}
-		}
-		for _, v := range nb {
-			if v > int32(u) {
-				mark[v] = false
-			}
-		}
-	}
-	return count
 }

@@ -43,13 +43,6 @@ func TestPowerLawInputKeepsSkew(t *testing.T) {
 	}
 }
 
-func TestCountTrianglesMatchesStats(t *testing.T) {
-	g := gen.GNM(100, 400, rng(5))
-	if got, want := countTriangles(g), stats.Triangles(g); got != want {
-		t.Fatalf("countTriangles = %g, stats = %g", got, want)
-	}
-}
-
 func TestSmallBudgetStillRuns(t *testing.T) {
 	g := gen.GNM(128, 400, rng(6))
 	syn, err := Default().Generate(g, 0.1, rng(7))

@@ -39,7 +39,7 @@ func TestQueryMetadata(t *testing.T) {
 
 func TestProfileSelfScoreIsPerfect(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.4, 0.02, rng(1))
-	p := ComputeProfile(g, ProfileOptions{}, rng(2))
+	p := ComputeProfileSeeded(g, ProfileOptions{}, rng(2).Int63())
 	for _, q := range AllQueries() {
 		v, higher := Score(q, p, p)
 		if higher {
@@ -57,7 +57,7 @@ func TestProfileSelfScoreIsPerfect(t *testing.T) {
 
 func TestProfileValues(t *testing.T) {
 	g := gen.GNM(200, 800, rng(3))
-	p := ComputeProfile(g, ProfileOptions{}, rng(4))
+	p := ComputeProfileSeeded(g, ProfileOptions{}, rng(4).Int63())
 	if p.NumEdges != 800 {
 		t.Fatalf("edges = %g", p.NumEdges)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"pgb/internal/community"
 	"pgb/internal/graph"
+	"pgb/internal/lru"
 	"pgb/internal/par"
 	"pgb/internal/stats"
 )
@@ -161,14 +162,6 @@ type profileTask struct {
 	run   func(rng *rand.Rand)
 }
 
-// ComputeProfile evaluates the selected queries on g, drawing the profile
-// seed from rng. Kept for callers that thread a *rand.Rand; new code
-// should prefer ComputeProfileSeeded, which makes the stream derivation
-// explicit and cacheable.
-func ComputeProfile(g *graph.Graph, opt ProfileOptions, rng *rand.Rand) *Profile {
-	return ComputeProfileSeeded(g, opt, rng.Int63())
-}
-
 // ComputeProfileSeeded evaluates the selected queries on g. Independent
 // compute groups (structural scans, the triangle/clustering pass, the BFS
 // sweep, Louvain, power iteration, and each custom query) run concurrently,
@@ -262,7 +255,7 @@ func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, wo
 	})
 	add(GroupTriangles, CostHeavy, func(*rand.Rand) {
 		// One forward-orientation pass yields Q3, Q10 and Q11 together.
-		tri, wedges, acc := stats.TriangleProfileParallel(g, workers, budget)
+		tri, wedges, acc := stats.TriangleProfile(g, workers, budget)
 		p.Triangles = tri
 		p.GCC = stats.GlobalClusteringFrom(tri, wedges)
 		p.ACC = acc
@@ -278,13 +271,13 @@ func profileTasks(g *graph.Graph, opt ProfileOptions, seed int64, p *Profile, wo
 		var ds stats.DistanceStats
 		switch opt.DistanceMode {
 		case DistanceExact:
-			ds = stats.ExactDistancesParallel(g, workers, budget)
+			ds = stats.ExactDistances(g, workers, budget)
 		case DistanceSampled:
-			ds = stats.SampledDistancesParallel(g, opt.PathSamples, rng, workers, budget)
+			ds = stats.SampledDistances(g, opt.PathSamples, rng, workers, budget)
 		case DistanceANF:
-			ds = stats.ANFDistancesParallel(g, rng, workers, budget)
+			ds = stats.ANFDistances(g, rng, workers, budget)
 		default: // DistanceAuto and unrecognised values
-			ds = stats.DistancesParallel(g, opt.ExactPathLimit, opt.PathSamples, rng, workers, budget)
+			ds = stats.Distances(g, opt.ExactPathLimit, opt.PathSamples, rng, workers, budget)
 		}
 		p.Diameter = ds.Diameter
 		p.AvgPath = ds.AvgPath
@@ -393,11 +386,7 @@ func (o ProfileOptions) optKey(seed int64) string {
 // should use the uncached path.
 const profileCacheLimit = 64
 
-var profileCache = struct {
-	sync.Mutex
-	entries map[profileCacheKey]*Profile
-	order   []profileCacheKey
-}{entries: make(map[profileCacheKey]*Profile)}
+var profileCache = lru.New[profileCacheKey, *Profile](profileCacheLimit)
 
 // ComputeProfileCached is ComputeProfileSeeded behind a process-wide
 // memoization cache keyed by graph fingerprint, options, and seed. Use it
@@ -406,41 +395,10 @@ var profileCache = struct {
 // The returned profile is shared: callers must treat it as read-only.
 func ComputeProfileCached(g *graph.Graph, opt ProfileOptions, seed int64) *Profile {
 	key := profileCacheKey{fp: g.Fingerprint(), opt: opt.withDefaults().optKey(seed)}
-	profileCache.Lock()
-	if p, ok := profileCache.entries[key]; ok {
-		touchProfileKey(key) // LRU: keep hot true-graph entries resident
-		profileCache.Unlock()
+	if p, ok := profileCache.Get(key); ok {
 		return p
 	}
-	profileCache.Unlock()
-
-	p := ComputeProfileSeeded(g, opt, seed)
-
-	profileCache.Lock()
-	defer profileCache.Unlock()
-	if existing, ok := profileCache.entries[key]; ok {
-		touchProfileKey(key)
-		return existing // another goroutine computed it first; keep one copy
-	}
-	if len(profileCache.order) >= profileCacheLimit {
-		oldest := profileCache.order[0]
-		profileCache.order = profileCache.order[1:]
-		delete(profileCache.entries, oldest)
-	}
-	profileCache.entries[key] = p
-	profileCache.order = append(profileCache.order, key)
-	return p
-}
-
-// touchProfileKey moves key to the most-recently-used end of the eviction
-// order. Callers must hold profileCache's lock.
-func touchProfileKey(key profileCacheKey) {
-	order := profileCache.order
-	for i, k := range order {
-		if k == key {
-			copy(order[i:], order[i+1:])
-			order[len(order)-1] = key
-			return
-		}
-	}
+	// Two goroutines may race to compute the same key; Add keeps the
+	// first copy and hands it to both.
+	return profileCache.Add(key, ComputeProfileSeeded(g, opt, seed))
 }

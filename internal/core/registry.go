@@ -21,12 +21,6 @@ func AlgorithmNames() []string {
 	return []string{"DP-dK", "TmF", "PrivSKG", "PrivHRG", "PrivGraph", "DGG"}
 }
 
-// ExtensionNames returns the Edge-LDP mechanisms available through the
-// Remark-4 extension: they are benchmarkable with the same harness but
-// excluded from the headline Edge-CDP tables (comparing across privacy
-// definitions would violate design principle M1).
-func ExtensionNames() []string { return []string{"LDPGen", "RNL", "DER"} }
-
 // NewAlgorithm constructs a benchmark algorithm by name with its default
 // (paper) parameterisation. The extension mechanisms (DER for the
 // appendix, LDPGen and RNL for the Edge-LDP extension) are also

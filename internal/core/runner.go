@@ -376,18 +376,12 @@ func runCell(cfg Config, algName, dsName string, g *graph.Graph, truth *Profile,
 	return res
 }
 
-// MeasureGenerate runs one serial generation, returning wall-clock
-// seconds and heap bytes allocated during the call (the Table IX /
-// Table X measurements).
-func MeasureGenerate(g algo.Generator, in *graph.Graph, eps float64, rng *rand.Rand) (sec, bytes float64, out *graph.Graph, err error) {
-	return MeasureGenerateWith(g, in, eps, rng, algo.Serial)
-}
-
-// MeasureGenerateWith is MeasureGenerate under an explicit worker
-// allowance: the grid runner threads its run-wide budget through so a
-// cell's generation stage shares the same allowance as its profile
-// kernels. Values are identical at any Params (DESIGN.md §10); only the
-// measurements observe the schedule.
+// MeasureGenerateWith runs one generation under the worker allowance p,
+// returning wall-clock seconds and heap bytes allocated during the call
+// (the Table IX / Table X measurements). The grid runner threads its
+// run-wide budget through so a cell's generation stage shares the same
+// allowance as its profile kernels. Values are identical at any Params
+// (DESIGN.md §10); only the measurements observe the schedule.
 func MeasureGenerateWith(g algo.Generator, in *graph.Graph, eps float64, rng *rand.Rand, p algo.Params) (sec, bytes float64, out *graph.Graph, err error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -20,6 +20,7 @@ import (
 
 	"pgb/internal/gen"
 	"pgb/internal/graph"
+	"pgb/internal/stats"
 )
 
 // Spec describes one benchmark dataset: the published statistics it
@@ -342,41 +343,8 @@ type Summary struct {
 
 // Summarize computes the headline statistics of a generated dataset.
 func Summarize(s Spec, g *graph.Graph) Summary {
-	return Summary{Name: s.Name, Nodes: g.N(), Edges: g.M(), ACC: avgClustering(g), Type: s.Type}
-}
-
-// avgClustering duplicates stats.AvgClustering to keep datasets free of a
-// stats dependency (import direction: bench depends on both).
-func avgClustering(g *graph.Graph) float64 {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	mark := make([]bool, n)
-	total := 0.0
-	for u := 0; u < n; u++ {
-		nb := g.Neighbors(int32(u))
-		d := len(nb)
-		if d < 2 {
-			continue
-		}
-		for _, v := range nb {
-			mark[v] = true
-		}
-		links := 0
-		for _, v := range nb {
-			for _, w := range g.Neighbors(v) {
-				if w > v && mark[w] {
-					links++
-				}
-			}
-		}
-		for _, v := range nb {
-			mark[v] = false
-		}
-		total += 2 * float64(links) / (float64(d) * float64(d-1))
-	}
-	return total / float64(n)
+	_, _, acc := stats.TriangleProfile(g, 1, nil)
+	return Summary{Name: s.Name, Nodes: g.N(), Edges: g.M(), ACC: acc, Type: s.Type}
 }
 
 func maxInt(a, b int) int {

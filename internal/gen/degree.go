@@ -145,26 +145,6 @@ func HavelHakimi(degrees []int) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// ConfigurationModel realises a degree sequence by random stub matching,
-// discarding self-loops and multi-edges (the "erased" configuration
-// model). Degrees are therefore approximate but the joint structure is
-// uniform-random.
-func ConfigurationModel(degrees []int, rng *rand.Rand) *graph.Graph {
-	n := len(degrees)
-	var stubs []int32
-	for u, d := range degrees {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, int32(u))
-		}
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	edges := make([]graph.Edge, 0, len(stubs)/2)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		edges = append(edges, graph.Canon(stubs[i], stubs[i+1]))
-	}
-	return graph.FromEdges(n, edges)
-}
-
 // JointDegreeMatrix holds the dK-2 statistics of a graph: JDM[j][k] is
 // the number of edges between a degree-j and a degree-k node (each edge
 // counted once; diagonal entries count same-degree edges once).

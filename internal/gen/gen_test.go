@@ -90,13 +90,6 @@ func TestChungLuZeroWeights(t *testing.T) {
 	}
 }
 
-func TestWattsStrogatz(t *testing.T) {
-	g := WattsStrogatz(100, 3, 0.1, rng())
-	if g.M() < 250 || g.M() > 300 {
-		t.Fatalf("WS edges = %d, want ~300", g.M())
-	}
-}
-
 func TestGrid2D(t *testing.T) {
 	g := Grid2D(10, 10, 0, 0, rng())
 	if g.M() != 180 { // 2·10·9
@@ -160,18 +153,6 @@ func TestHavelHakimiRealizesSequence(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("degree[%d] = %d, want %d (%v)", i, got[i], want, got)
 		}
-	}
-}
-
-func TestConfigurationModelApproximatesDegrees(t *testing.T) {
-	d := make([]int, 200)
-	for i := range d {
-		d[i] = 4
-	}
-	g := ConfigurationModel(d, rng())
-	// erased configuration model: most stubs survive
-	if g.M() < 350 || g.M() > 400 {
-		t.Fatalf("config model edges = %d, want ~400", g.M())
 	}
 }
 
@@ -391,7 +372,7 @@ func TestQuickGeneratorsValid(t *testing.T) {
 			GNM(n, n, r),
 			GNP(n, 0.1, r),
 			BarabasiAlbert(n, 2, r),
-			WattsStrogatz(n, 2, 0.2, r),
+			ChungLu(PowerLawWeights(n, 2.5, 2*n, r), r),
 			PlantedPartition(n, 3, 0.3, 0.05, r),
 			CliqueCover(n, 5, 3, 5, 0.2, r),
 		}

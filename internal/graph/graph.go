@@ -420,22 +420,6 @@ func (s *EdgeSet) M() int { return len(s.edges) }
 // Build finalizes the accumulated edges into an immutable CSR Graph.
 func (s *EdgeSet) Build() *Graph { return FromEdges(s.n, s.edges) }
 
-// FromAdjacency constructs a graph from raw (possibly unsorted,
-// possibly asymmetric) adjacency lists; edges are symmetrized.
-func FromAdjacency(adj [][]int32) *Graph {
-	total := 0
-	for _, nb := range adj {
-		total += len(nb)
-	}
-	edges := make([]Edge, 0, total)
-	for u, nb := range adj {
-		for _, v := range nb {
-			edges = append(edges, Canon(int32(u), v))
-		}
-	}
-	return FromEdges(len(adj), edges)
-}
-
 // Subgraph returns the induced subgraph on the given nodes, relabelled to
 // 0..len(nodes)-1 in the given order.
 func (g *Graph) Subgraph(nodes []int32) *Graph {

@@ -169,16 +169,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestFromAdjacencySymmetrizes(t *testing.T) {
-	g := FromAdjacency([][]int32{{1, 2}, {}, {}})
-	if !g.HasEdge(1, 0) || !g.HasEdge(2, 0) {
-		t.Fatal("adjacency not symmetrized")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := FromEdges(3, []Edge{{0, 1}})
 	g.nbr[0] = 2 // node 0 now lists neighbor 2, but 2 does not list 0

@@ -12,6 +12,7 @@ import (
 
 	"pgb/internal/core"
 	"pgb/internal/graph"
+	"pgb/internal/lru"
 )
 
 // jobs.go is the async job manager behind POST /v1/runs (DESIGN.md
@@ -152,7 +153,7 @@ func (j *job) unsubscribe(ch chan string) {
 // pool.
 type jobManager struct {
 	dataDir    string
-	cache      *resultCache
+	cache      *lru.Cache[string, any]
 	store      graph.Store // dataset resolution for executed runs (snapshot-first)
 	runWorkers int         // Config.Workers for each executed run
 	logf       func(string, ...any)
@@ -181,7 +182,7 @@ type jobManager struct {
 	baseCancel context.CancelFunc
 }
 
-func newJobManager(dataDir string, poolSize, runWorkers int, store graph.Store, cache *resultCache, logf func(string, ...any)) *jobManager {
+func newJobManager(dataDir string, poolSize, runWorkers int, store graph.Store, cache *lru.Cache[string, any], logf func(string, ...any)) *jobManager {
 	m := &jobManager{
 		dataDir:    dataDir,
 		cache:      cache,
@@ -258,7 +259,7 @@ func (m *jobManager) submit(cfg core.Config) (*job, bool, error) {
 	// A completed identical run may be cached even though the job table
 	// has no entry (results can outlive a pruned job table in future
 	// revisions); serve it without recomputation.
-	if v, ok := m.cache.get(digest); ok {
+	if v, ok := m.cache.Get(digest); ok {
 		res := v.(*core.Results)
 		j.mu.Lock()
 		// Job ids are predictable content addresses, so a DELETE can race
@@ -378,7 +379,7 @@ func (m *jobManager) finishJob(j *job, res *core.Results, err error) {
 	j.mu.Unlock()
 	close(done)
 	if state == StateDone {
-		m.cache.put(j.digest, res)
+		m.cache.Add(j.digest, res)
 	}
 	m.noteTerminal(j.id)
 }

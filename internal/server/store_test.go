@@ -58,6 +58,53 @@ func TestDatasetCacheFingerprintSharing(t *testing.T) {
 	}
 }
 
+// TestDatasetRefMemoBounded: every distinct seed a client sends mints a
+// new reference, so the ref→fingerprint memo must stay within its
+// limit, and a reference it evicted must resolve again to the same
+// fingerprint and the same resident graph.
+func TestDatasetRefMemoBounded(t *testing.T) {
+	spec, err := datasets.ByName("ER")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.Load(0.05, 1)
+	st := graph.NewMemStore()
+	c := newDatasetCache()
+	if err := st.Put(datasets.RefFor("ER", 0.05, 1), g); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.load(st, spec, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every further seed names the same stored graph, so the graph
+	// cache holds one entry while the memo fills up and evicts seed 1.
+	for seed := int64(2); seed <= datasetRefMemoLimit+10; seed++ {
+		if err := st.Put(datasets.RefFor("ER", 0.05, seed), g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.load(st, spec, 0.05, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.fps.Len(); n > datasetRefMemoLimit {
+		t.Fatalf("ref memo holds %d entries, limit %d", n, datasetRefMemoLimit)
+	}
+	if _, ok := c.fps.Get(datasets.RefFor("ER", 0.05, 1)); ok {
+		t.Fatal("seed 1 still memoised after more than the limit of newer refs")
+	}
+	again, err := c.load(st, spec, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatal("evicted reference resolved to a second graph")
+	}
+	if fp, ok := c.fps.Get(datasets.RefFor("ER", 0.05, 1)); !ok || fp != first.Fingerprint() {
+		t.Fatalf("re-resolved ref memoised as %016x, %v; want %016x", fp, ok, first.Fingerprint())
+	}
+}
+
 // TestCompareServedFromSnapshotParity: a compare answered by a server
 // whose datasets come from ingested snapshots is identical to one
 // computed from in-RAM generation.

@@ -43,19 +43,14 @@ const (
 	anfAlpha = 0.709
 )
 
-// ANFDistances is ANFDistancesParallel on one worker.
-func ANFDistances(g *graph.Graph, rng *rand.Rand) DistanceStats {
-	return ANFDistancesParallel(g, rng, 1, nil)
-}
-
-// ANFDistancesParallel estimates the path queries Q7–Q9 with HyperANF.
+// ANFDistances estimates the path queries Q7–Q9 with HyperANF.
 // Diameter is the last round on which any register changed — exact
 // fixed-point detection, which lower-bounds the true diameter (a ball
 // can gain members without raising any register). AvgPath and
 // Distribution carry the HyperLogLog estimation error documented above.
 // Worker sharding draws helpers from budget (DESIGN.md §2) and the
 // result is bit-identical at every worker count.
-func ANFDistancesParallel(g *graph.Graph, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
+func ANFDistances(g *graph.Graph, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
 	n := g.N()
 	// One draw, before any parallel work, regardless of workers.
 	seed := rng.Uint64()

@@ -26,8 +26,8 @@ func TestANFWithinErrorBoundOfExact(t *testing.T) {
 		{"path", path5()},
 		{"k4", k4()},
 	} {
-		exact := ExactDistances(tc.g)
-		got := ANFDistances(tc.g, rand.New(rand.NewSource(42)))
+		exact := ExactDistances(tc.g, 1, nil)
+		got := ANFDistances(tc.g, rand.New(rand.NewSource(42)), 1, nil)
 		if d := math.Abs(got.Diameter - exact.Diameter); d > 2 {
 			t.Errorf("%s: ANF diameter %g vs exact %g (|Δ| > 2)", tc.name, got.Diameter, exact.Diameter)
 		}
@@ -59,10 +59,10 @@ func TestANFWithinErrorBoundOfExact(t *testing.T) {
 func TestANFParallelBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		g := randomGraph(seed, 300)
-		want := ANFDistances(g, rand.New(rand.NewSource(42)))
+		want := ANFDistances(g, rand.New(rand.NewSource(42)), 1, nil)
 		for _, workers := range []int{1, 2, 8} {
 			for _, budget := range []*par.Budget{nil, par.NewBudget(workers - 1)} {
-				got := ANFDistancesParallel(g, rand.New(rand.NewSource(42)), workers, budget)
+				got := ANFDistances(g, rand.New(rand.NewSource(42)), workers, budget)
 				assertDistanceStatsEqual(t, "anf", workers, got, want)
 			}
 		}
@@ -75,7 +75,7 @@ func TestANFParallelBitIdentical(t *testing.T) {
 func TestANFConsumesExactlyOneDraw(t *testing.T) {
 	for _, g := range []*graph.Graph{k4(), graph.FromEdges(0, nil)} {
 		r := rand.New(rand.NewSource(5))
-		ANFDistances(g, r)
+		ANFDistances(g, r, 1, nil)
 		ref := rand.New(rand.NewSource(5))
 		ref.Uint64()
 		if r.Uint64() != ref.Uint64() {
@@ -85,7 +85,7 @@ func TestANFConsumesExactlyOneDraw(t *testing.T) {
 }
 
 func TestANFEmptyGraph(t *testing.T) {
-	st := ANFDistances(graph.FromEdges(0, nil), rand.New(rand.NewSource(1)))
+	st := ANFDistances(graph.FromEdges(0, nil), rand.New(rand.NewSource(1)), 1, nil)
 	if st.Diameter != 0 || st.AvgPath != 0 || st.Distribution != nil {
 		t.Fatalf("empty graph: got %+v, want zero stats", st)
 	}

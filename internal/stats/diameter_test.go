@@ -61,7 +61,7 @@ func TestQuickExactDiameterMatchesAllPairs(t *testing.T) {
 		// restrict all-pairs reference to the largest component
 		comp := g.LargestComponent()
 		sub := g.Subgraph(comp)
-		ref := int(ExactDistances(sub).Diameter)
+		ref := int(ExactDistances(sub, 1, nil).Diameter)
 		return ExactDiameter(g, r) == ref
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

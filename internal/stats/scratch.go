@@ -19,7 +19,6 @@ import "sync"
 type Scratch struct {
 	i32a, i32b, i32c, i32d []int32
 	i64a, i64b             []int64
-	mark                   []bool
 	f64a                   []float64
 	u64a, u64b             []uint64
 }
@@ -63,7 +62,6 @@ func (s *Scratch) fwdNbr(n int) []int32 { s.i32c = grow(s.i32c, n); return s.i32
 func (s *Scratch) i32scr(n int) []int32 { s.i32d = grow(s.i32d, n); return s.i32d }
 func (s *Scratch) offs(n int) []int64   { s.i64a = grow(s.i64a, n); return s.i64a }
 func (s *Scratch) counts(n int) []int64 { s.i64b = grow(s.i64b, n); return s.i64b }
-func (s *Scratch) marks(n int) []bool   { s.mark = grow(s.mark, n); return s.mark }
 func (s *Scratch) floats(n int) []float64 {
 	s.f64a = grow(s.f64a, n)
 	return s.f64a

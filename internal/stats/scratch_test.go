@@ -14,10 +14,10 @@ import (
 // workloads rather than a synthetic pool exercise.
 func TestScratchPoolConcurrentKernels(t *testing.T) {
 	g := randomGraph(6, 300)
-	wantTri := Triangles(g)
-	wantACC := AvgClustering(g)
+	wantTri := Triangles(g, 1, nil)
+	_, _, wantACC := TriangleProfile(g, 1, nil)
 	wantDiam := ExactDiameter(g, rand.New(rand.NewSource(3)))
-	wantANF := ANFDistances(g, rand.New(rand.NewSource(17)))
+	wantANF := ANFDistances(g, rand.New(rand.NewSource(17)), 1, nil)
 
 	const goroutines = 8
 	const iters = 5
@@ -27,11 +27,11 @@ func TestScratchPoolConcurrentKernels(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for k := 0; k < iters; k++ {
-				if got := TrianglesParallel(g, 2, nil); got != wantTri {
+				if got := Triangles(g, 2, nil); got != wantTri {
 					t.Errorf("goroutine %d: triangles %g != %g", id, got, wantTri)
 					return
 				}
-				if got := AvgClusteringParallel(g, 2, nil); got != wantACC {
+				if _, _, got := TriangleProfile(g, 2, nil); got != wantACC {
 					t.Errorf("goroutine %d: ACC %g != %g", id, got, wantACC)
 					return
 				}
@@ -39,7 +39,7 @@ func TestScratchPoolConcurrentKernels(t *testing.T) {
 					t.Errorf("goroutine %d: diameter %d != %d", id, got, wantDiam)
 					return
 				}
-				got := ANFDistancesParallel(g, rand.New(rand.NewSource(17)), 2, nil)
+				got := ANFDistances(g, rand.New(rand.NewSource(17)), 2, nil)
 				if got.Diameter != wantANF.Diameter || got.AvgPath != wantANF.AvgPath {
 					t.Errorf("goroutine %d: ANF (%g, %g) != (%g, %g)",
 						id, got.Diameter, got.AvgPath, wantANF.Diameter, wantANF.AvgPath)

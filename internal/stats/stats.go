@@ -7,6 +7,13 @@
 //
 // Path queries offer both exact all-pairs BFS and a sampled estimator for
 // large graphs; PGB's harness switches automatically based on graph size.
+//
+// Each kernel has one entry point. Kernels that shard their work take
+// (workers int, budget *par.Budget): up to workers goroutines (0 selects
+// GOMAXPROCS), with helpers beyond the calling goroutine drawn from
+// budget when it is non-nil (the shared allowance of DESIGN.md §2).
+// workers = 1, budget = nil is the serial path. Results are bit-identical
+// at every worker count.
 package stats
 
 import (
@@ -38,16 +45,10 @@ func NumNodes(g *graph.Graph) float64 {
 func NumEdges(g *graph.Graph) float64 { return float64(g.M()) }
 
 // Triangles is query Q3: the number of triangles, computed by forward
-// neighbor-intersection over the degree-ordered orientation, O(m^{3/2}).
-func Triangles(g *graph.Graph) float64 { return TrianglesParallel(g, 1, nil) }
-
-// TrianglesParallel is Triangles sharded over contiguous node ranges on
-// up to workers goroutines (0 selects GOMAXPROCS); helper workers beyond
-// the calling goroutine are drawn from budget when non-nil (the shared
-// allowance of DESIGN.md §2). The result is bit-identical at every
-// worker count: each shard contributes an exact integer count and
-// integer addition is order-free.
-func TrianglesParallel(g *graph.Graph, workers int, budget *par.Budget) float64 {
+// neighbor-intersection over the degree-ordered orientation, O(m^{3/2}),
+// sharded over contiguous node ranges. Each shard contributes an exact
+// integer count and integer addition is order-free.
+func Triangles(g *graph.Graph, workers int, budget *par.Budget) float64 {
 	n := g.N()
 	if n == 0 {
 		return 0
@@ -335,36 +336,23 @@ type DistanceStats struct {
 	Distribution []float64
 }
 
-// ExactDistances runs BFS from every node: O(nm). Suitable for graphs up
-// to a few thousand nodes.
-func ExactDistances(g *graph.Graph) DistanceStats {
-	return ExactDistancesParallel(g, 1, nil)
-}
-
-// ExactDistancesParallel is ExactDistances with the BFS sources spread
-// over up to workers goroutines (0 selects GOMAXPROCS; helpers come
-// from budget when non-nil). Bit-identical to serial at every worker
-// count — see bfsDistances.
-func ExactDistancesParallel(g *graph.Graph, workers int, budget *par.Budget) DistanceStats {
+// ExactDistances runs BFS from every node, O(nm), with the sources
+// spread over the workers — see bfsDistances. Suitable for graphs up to
+// a few thousand nodes.
+func ExactDistances(g *graph.Graph, workers int, budget *par.Budget) DistanceStats {
 	return bfsDistances(g, nil, workers, budget)
 }
 
 // SampledDistances estimates the path queries by running BFS from a
 // uniform sample of source nodes. The diameter estimate is the maximum
 // eccentricity over sampled sources (a lower bound, standard practice for
-// large-graph benchmarking).
-func SampledDistances(g *graph.Graph, samples int, rng *rand.Rand) DistanceStats {
-	return SampledDistancesParallel(g, samples, rng, 1, nil)
-}
-
-// SampledDistancesParallel is SampledDistances on a bounded worker pool.
-// The source sample is drawn from rng before any parallel work starts,
-// so rng consumption — and therefore the result — is identical at every
-// worker count.
-func SampledDistancesParallel(g *graph.Graph, samples int, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
+// large-graph benchmarking). The source sample is drawn from rng before
+// any parallel work starts, so rng consumption — and therefore the
+// result — is identical at every worker count.
+func SampledDistances(g *graph.Graph, samples int, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
 	n := g.N()
 	if samples >= n {
-		return ExactDistancesParallel(g, workers, budget)
+		return ExactDistances(g, workers, budget)
 	}
 	perm := rng.Perm(n)
 	sources := make([]int32, samples)
@@ -376,16 +364,11 @@ func SampledDistancesParallel(g *graph.Graph, samples int, rng *rand.Rand, worke
 
 // Distances picks exact computation for small graphs and sampling above
 // the threshold, matching the harness defaults.
-func Distances(g *graph.Graph, exactLimit, samples int, rng *rand.Rand) DistanceStats {
-	return DistancesParallel(g, exactLimit, samples, rng, 1, nil)
-}
-
-// DistancesParallel is Distances on a bounded worker pool sharing budget.
-func DistancesParallel(g *graph.Graph, exactLimit, samples int, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
+func Distances(g *graph.Graph, exactLimit, samples int, rng *rand.Rand, workers int, budget *par.Budget) DistanceStats {
 	if g.N() <= exactLimit {
-		return ExactDistancesParallel(g, workers, budget)
+		return ExactDistances(g, workers, budget)
 	}
-	return SampledDistancesParallel(g, samples, rng, workers, budget)
+	return SampledDistances(g, samples, rng, workers, budget)
 }
 
 // bfsDistances runs one BFS per source on up to workers goroutines.
@@ -496,9 +479,9 @@ func Wedges(g *graph.Graph) float64 {
 	return wedges
 }
 
-// GlobalClusteringFrom forms the transitivity 3*triangles/wedges from
-// already-computed counts — the single definition of the GCC formula,
-// shared by GlobalClustering and callers that batch the triangle pass.
+// GlobalClusteringFrom is query Q10, the transitivity 3*triangles/wedges
+// (connected triples), formed from already-computed counts — the single
+// definition of the GCC formula.
 func GlobalClusteringFrom(triangles, wedges float64) float64 {
 	if wedges == 0 {
 		return 0
@@ -506,25 +489,15 @@ func GlobalClusteringFrom(triangles, wedges float64) float64 {
 	return 3 * triangles / wedges
 }
 
-// GlobalClustering is query Q10: 3*triangles / number of connected triples
-// (wedges), a.k.a. transitivity.
-func GlobalClustering(g *graph.Graph) float64 {
-	return GlobalClusteringFrom(Triangles(g), Wedges(g))
-}
-
 // LocalClustering returns the per-node clustering coefficient C_i =
-// e_i / C(d_i, 2); nodes with degree < 2 have C_i = 0.
-func LocalClustering(g *graph.Graph) []float64 {
-	return LocalClusteringParallel(g, 1, nil)
-}
-
-// LocalClusteringParallel is LocalClustering sharded over node ranges.
-// The per-node triangle counts come from the degree-ordered intersection
-// kernel (exact integers, order-free atomic accumulation), and each C_i
-// is then the same d_i-normalisation the mark-probe implementation
-// applied to the same integer, so the vector is bit-identical at every
-// worker count and to the legacy implementation.
-func LocalClusteringParallel(g *graph.Graph, workers int, budget *par.Budget) []float64 {
+// e_i / C(d_i, 2); nodes with degree < 2 have C_i = 0. The per-node
+// triangle counts come from the degree-ordered intersection kernel
+// sharded over node ranges (exact integers, order-free atomic
+// accumulation), and each C_i is then the same d_i-normalisation the
+// mark-probe implementation applied to the same integer, so the vector
+// is bit-identical at every worker count and to the legacy
+// implementation.
+func LocalClustering(g *graph.Graph, workers int, budget *par.Budget) []float64 {
 	n := g.N()
 	cc := make([]float64, n)
 	if n == 0 {
@@ -574,15 +547,15 @@ func fillClustering(g *graph.Graph, cnt []int64, rank []int32, cc []float64) {
 	}
 }
 
-// TriangleProfileParallel answers the whole triangle query group — Q3
-// (triangle count), Q10's numerator, and Q11 (average clustering) — from
-// ONE pass of the intersection kernel: per-node counts give the global
-// total (Σ t_u = 3T, exactly, in integers) and the clustering
-// coefficients. The profile's triangle pass uses this instead of running
-// TrianglesParallel and LocalClusteringParallel back-to-back. Values are
-// bit-identical to the separate calls: the total is the same integer and
-// ACC reduces the same per-node floats in the same serial node order.
-func TriangleProfileParallel(g *graph.Graph, workers int, budget *par.Budget) (triangles, wedges, acc float64) {
+// TriangleProfile answers the whole triangle query group — Q3 (triangle
+// count), Q10's numerator and denominator, and Q11 (average clustering,
+// the Watts-Strogatz mean of the local coefficients) — from ONE pass of
+// the intersection kernel: per-node counts give the global total
+// (Σ t_u = 3T, exactly, in integers) and the clustering coefficients.
+// Values are bit-identical to Triangles, Wedges and a serial node-order
+// mean of LocalClustering: the total is the same integer and ACC
+// reduces the same per-node floats in the same serial node order.
+func TriangleProfile(g *graph.Graph, workers int, budget *par.Budget) (triangles, wedges, acc float64) {
 	n := g.N()
 	if n == 0 {
 		return 0, 0, 0
@@ -605,27 +578,6 @@ func TriangleProfileParallel(g *graph.Graph, workers int, budget *par.Budget) (t
 		sum += 2 * float64(cnt[rank[u]]) / (dd * (dd - 1))
 	}
 	return float64(tri3 / 3), wedges, sum / float64(n)
-}
-
-// AvgClustering is query Q11: the mean of the local clustering
-// coefficients (Watts-Strogatz ACC).
-func AvgClustering(g *graph.Graph) float64 {
-	return AvgClusteringParallel(g, 1, nil)
-}
-
-// AvgClusteringParallel computes the local coefficients in parallel and
-// reduces them serially in node order, so the floating-point sum — and
-// the mean — is bit-identical to the serial computation.
-func AvgClusteringParallel(g *graph.Graph, workers int, budget *par.Budget) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	cc := LocalClusteringParallel(g, workers, budget)
-	s := 0.0
-	for _, c := range cc {
-		s += c
-	}
-	return s / float64(len(cc))
 }
 
 // Modularity is query Q13 given a partition (community label per node):

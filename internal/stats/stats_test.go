@@ -56,7 +56,7 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 		{"triangle", graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}), 1},
 	}
 	for _, c := range cases {
-		if got := Triangles(c.g); got != c.want {
+		if got := Triangles(c.g, 1, nil); got != c.want {
 			t.Errorf("Triangles(%s) = %g, want %g", c.name, got, c.want)
 		}
 	}
@@ -97,7 +97,7 @@ func TestDegreeDistribution(t *testing.T) {
 }
 
 func TestExactDistancesPath(t *testing.T) {
-	ds := ExactDistances(path5())
+	ds := ExactDistances(path5(), 1, nil)
 	if ds.Diameter != 4 {
 		t.Fatalf("diameter = %g, want 4", ds.Diameter)
 	}
@@ -116,7 +116,7 @@ func TestExactDistancesPath(t *testing.T) {
 
 func TestDistancesDisconnected(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	ds := ExactDistances(g)
+	ds := ExactDistances(g, 1, nil)
 	if ds.Diameter != 1 {
 		t.Fatalf("diameter = %g, want 1 (finite pairs only)", ds.Diameter)
 	}
@@ -130,8 +130,8 @@ func TestSampledDistancesApproximatesExact(t *testing.T) {
 		edges[i] = graph.Canon(int32(i), int32((i+1)%100))
 	}
 	g := graph.FromEdges(100, edges)
-	exact := ExactDistances(g)
-	sampled := SampledDistances(g, 30, r)
+	exact := ExactDistances(g, 1, nil)
+	sampled := SampledDistances(g, 30, r, 1, nil)
 	if sampled.Diameter > exact.Diameter {
 		t.Fatalf("sampled diameter %g exceeds exact %g", sampled.Diameter, exact.Diameter)
 	}
@@ -142,33 +142,45 @@ func TestSampledDistancesApproximatesExact(t *testing.T) {
 
 func TestDistancesSwitchesModes(t *testing.T) {
 	g := path5()
-	exact := Distances(g, 10, 2, rng())
+	exact := Distances(g, 10, 2, rng(), 1, nil)
 	if exact.Diameter != 4 {
 		t.Fatal("exact mode should be used under the limit")
 	}
 }
 
+// gcc and acc answer Q10 and Q11 the way the profile does: from one
+// TriangleProfile pass plus GlobalClusteringFrom.
+func gcc(g *graph.Graph) float64 {
+	tri, wedges, _ := TriangleProfile(g, 1, nil)
+	return GlobalClusteringFrom(tri, wedges)
+}
+
+func acc(g *graph.Graph) float64 {
+	_, _, a := TriangleProfile(g, 1, nil)
+	return a
+}
+
 func TestGlobalClustering(t *testing.T) {
-	if v := GlobalClustering(k4()); math.Abs(v-1) > 1e-12 {
+	if v := gcc(k4()); math.Abs(v-1) > 1e-12 {
 		t.Fatalf("GCC(K4) = %g, want 1", v)
 	}
-	if v := GlobalClustering(star(5)); v != 0 {
+	if v := gcc(star(5)); v != 0 {
 		t.Fatalf("GCC(star) = %g, want 0", v)
 	}
 	// triangle plus pendant: 3 triangles*3=3... wedges: deg 2,2,3,1 →
 	// 1+1+3+0 = 5; GCC = 3·1/5 = 0.6
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
-	if v := GlobalClustering(g); math.Abs(v-0.6) > 1e-12 {
+	if v := gcc(g); math.Abs(v-0.6) > 1e-12 {
 		t.Fatalf("GCC = %g, want 0.6", v)
 	}
 }
 
 func TestLocalAndAvgClustering(t *testing.T) {
-	if v := AvgClustering(k4()); math.Abs(v-1) > 1e-12 {
+	if v := acc(k4()); math.Abs(v-1) > 1e-12 {
 		t.Fatalf("ACC(K4) = %g, want 1", v)
 	}
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
-	cc := LocalClustering(g)
+	cc := LocalClustering(g, 1, nil)
 	// node 2 has neighbors {0,1,3}; edges among them: {0,1} → 2/6... C = 2·1/(3·2) = 1/3
 	if math.Abs(cc[2]-1.0/3) > 1e-12 {
 		t.Fatalf("C(2) = %g, want 1/3", cc[2])
@@ -261,26 +273,35 @@ func randomGraph(seed int64, n int) *graph.Graph {
 
 // Parallel triangle counting and clustering must be bit-identical to
 // serial at every worker count, with and without a shared budget
-// (the DESIGN.md §2 kernel determinism contract).
+// (the DESIGN.md §2 kernel determinism contract). TriangleProfile must
+// also match the separate serial kernels: the same triangle integer,
+// Wedges, and the node-order mean of the local coefficients.
 func TestTrianglesAndClusteringParallelMatchSerial(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g := randomGraph(seed, 300)
-		wantTri := Triangles(g)
-		wantCC := LocalClustering(g)
-		wantACC := AvgClustering(g)
+		wantTri := Triangles(g, 1, nil)
+		wantCC := LocalClustering(g, 1, nil)
+		wantWedges := Wedges(g)
+		wantACC := 0.0
+		for _, c := range wantCC {
+			wantACC += c
+		}
+		wantACC /= float64(len(wantCC))
 		for _, workers := range []int{1, 2, 8} {
 			for _, budget := range []*par.Budget{nil, par.NewBudget(workers - 1)} {
-				if got := TrianglesParallel(g, workers, budget); got != wantTri {
+				if got := Triangles(g, workers, budget); got != wantTri {
 					t.Fatalf("seed %d workers %d: triangles %g != serial %g", seed, workers, got, wantTri)
 				}
-				cc := LocalClusteringParallel(g, workers, budget)
+				cc := LocalClustering(g, workers, budget)
 				for u := range cc {
 					if cc[u] != wantCC[u] {
 						t.Fatalf("seed %d workers %d: cc[%d] %g != serial %g", seed, workers, u, cc[u], wantCC[u])
 					}
 				}
-				if got := AvgClusteringParallel(g, workers, budget); got != wantACC {
-					t.Fatalf("seed %d workers %d: ACC %g != serial %g", seed, workers, got, wantACC)
+				tri, wedges, acc := TriangleProfile(g, workers, budget)
+				if tri != wantTri || wedges != wantWedges || acc != wantACC {
+					t.Fatalf("seed %d workers %d: profile (%g, %g, %g) != serial (%g, %g, %g)",
+						seed, workers, tri, wedges, acc, wantTri, wantWedges, wantACC)
 				}
 			}
 		}
@@ -292,12 +313,12 @@ func TestTrianglesAndClusteringParallelMatchSerial(t *testing.T) {
 func TestDistancesParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{4, 5} {
 		g := randomGraph(seed, 250)
-		wantExact := ExactDistances(g)
-		wantSampled := SampledDistances(g, 40, rand.New(rand.NewSource(99)))
+		wantExact := ExactDistances(g, 1, nil)
+		wantSampled := SampledDistances(g, 40, rand.New(rand.NewSource(99)), 1, nil)
 		for _, workers := range []int{1, 2, 8} {
-			got := ExactDistancesParallel(g, workers, nil)
+			got := ExactDistances(g, workers, nil)
 			assertDistanceStatsEqual(t, "exact", workers, got, wantExact)
-			got = SampledDistancesParallel(g, 40, rand.New(rand.NewSource(99)), workers, par.NewBudget(workers-1))
+			got = SampledDistances(g, 40, rand.New(rand.NewSource(99)), workers, par.NewBudget(workers-1))
 			assertDistanceStatsEqual(t, "sampled", workers, got, wantSampled)
 		}
 	}
@@ -329,8 +350,8 @@ func TestQuickClusteringBounds(t *testing.T) {
 			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
 		}
 		g := b.Build()
-		gcc, acc := GlobalClustering(g), AvgClustering(g)
-		return gcc >= 0 && gcc <= 1 && acc >= 0 && acc <= 1
+		c, a := gcc(g), acc(g)
+		return c >= 0 && c <= 1 && a >= 0 && a <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -358,7 +379,7 @@ func TestQuickTrianglesAgainstNaive(t *testing.T) {
 				}
 			}
 		}
-		return Triangles(g) == naive
+		return Triangles(g, 1, nil) == naive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

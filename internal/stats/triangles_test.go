@@ -46,17 +46,17 @@ func TestTrianglesMatchMarkReference(t *testing.T) {
 		for _, n := range []int{50, 200, 500} {
 			g := randomGraph(seed, n)
 			want := markTrianglesRef(g)
-			if got := Triangles(g); got != float64(want) {
+			if got := Triangles(g, 1, nil); got != float64(want) {
 				t.Errorf("seed %d n %d: Triangles = %g, mark reference = %d", seed, n, got, want)
 			}
-			if got := TrianglesParallel(g, 4, nil); got != float64(want) {
-				t.Errorf("seed %d n %d: TrianglesParallel = %g, mark reference = %d", seed, n, got, want)
+			if got := Triangles(g, 4, nil); got != float64(want) {
+				t.Errorf("seed %d n %d: Triangles(4 workers) = %g, mark reference = %d", seed, n, got, want)
 			}
 		}
 	}
 	// Degenerate shapes the random generator rarely produces.
 	for _, g := range []*graph.Graph{k4(), path5(), star(6), graph.FromEdges(0, nil), graph.FromEdges(3, nil)} {
-		if got, want := Triangles(g), markTrianglesRef(g); got != float64(want) {
+		if got, want := Triangles(g, 1, nil), markTrianglesRef(g); got != float64(want) {
 			t.Errorf("degenerate graph: Triangles = %g, mark reference = %d", got, want)
 		}
 	}

@@ -9,23 +9,6 @@ import (
 	"pgb"
 )
 
-// TestLoadMatchesLoadDataset pins the redesign contract: the Source
-// form and the deprecated positional wrapper denote the same graph.
-func TestLoadMatchesLoadDataset(t *testing.T) {
-	viaSource, err := pgb.Load(pgb.Source{Dataset: "ER", Scale: 0.05, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaWrapper, err := pgb.LoadDataset("ER", 0.05, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSource.Fingerprint() != viaWrapper.Fingerprint() {
-		t.Fatalf("Load and LoadDataset disagree: %016x vs %016x",
-			viaSource.Fingerprint(), viaWrapper.Fingerprint())
-	}
-}
-
 // TestLoadThroughStore covers the store seam end to end: a snapshot put
 // under the Source's canonical Ref resolves to the identical graph, and
 // a store miss generates without writing back.
@@ -96,10 +79,6 @@ func TestPublicAPIErrorsNeverPanic(t *testing.T) {
 	}{
 		{"load-unknown-dataset", func() error {
 			_, err := pgb.Load(pgb.Source{Dataset: "nope", Scale: 1, Seed: 1})
-			return err
-		}},
-		{"loaddataset-unknown-dataset", func() error {
-			_, err := pgb.LoadDataset("nope", 1, 1)
 			return err
 		}},
 		{"generate-unknown-algorithm", func() error {

@@ -21,7 +21,7 @@ func TestPublicSurfaces(t *testing.T) {
 }
 
 func TestLoadGenerateCompare(t *testing.T) {
-	g, err := pgb.LoadDataset("Facebook", 0.05, 42)
+	g, err := pgb.Load(pgb.Source{Dataset: "Facebook", Scale: 0.05, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,14 @@ func TestLoadGenerateCompare(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	g, _ := pgb.LoadDataset("ER", 0.05, 1)
+	g, _ := pgb.Load(pgb.Source{Dataset: "ER", Scale: 0.05, Seed: 1})
 	if _, err := pgb.Generate("nope", g, 1, 1); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 	if _, err := pgb.Generate("TmF", g, -1, 1); err == nil {
 		t.Fatal("negative budget accepted")
 	}
-	if _, err := pgb.LoadDataset("nope", 1, 1); err == nil {
+	if _, err := pgb.Load(pgb.Source{Dataset: "nope", Scale: 1, Seed: 1}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestRegisterQueryAndCompareQueries(t *testing.T) {
 		t.Fatalf("Queries() missing registered symbol: %v", pgb.Queries())
 	}
 
-	g, err := pgb.LoadDataset("BA", 0.05, 42)
+	g, err := pgb.Load(pgb.Source{Dataset: "BA", Scale: 0.05, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
