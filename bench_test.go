@@ -19,6 +19,7 @@
 //	BenchmarkDGGConstruction   — BTER vs Chung-Lu construction (DGG)
 //	BenchmarkPrivGraphSplit    — PrivGraph budget-split ablation
 //	BenchmarkPrivHRGMCMC       — PrivHRG MCMC-length ablation
+//	BenchmarkLouvain/*         — Louvain on a dataset (Q12) and on PrivGraph's RR graph
 //	BenchmarkDatasets          — dataset stand-in generation cost
 //	BenchmarkServerCompare     — one end-to-end pgb serve /v1/compare request
 //	BenchmarkCompareAlloc      — /v1/compare allocation profile (no HTTP client)
@@ -45,6 +46,7 @@ import (
 	"pgb/internal/algo/privgraph"
 	"pgb/internal/algo/privhrg"
 	"pgb/internal/algo/tmf"
+	"pgb/internal/community"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 	"pgb/internal/gen"
@@ -391,6 +393,31 @@ func BenchmarkPrivGraphSplit(b *testing.B) {
 				if _, err := alg.Generate(g, 1, rng); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkLouvain measures the Louvain kernel on its two inputs: a
+// dataset graph, as query Q12 sees it, and the randomized-response graph
+// PrivGraph's phase 1 feeds it at ε/3 for ε = 1. Labels and modularity
+// are pinned by internal/community's golden test, so only ns/op and
+// allocs/op can move.
+func BenchmarkLouvain(b *testing.B) {
+	spec, err := datasets.ByName("Facebook")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := spec.Load(0.25, 42)
+	rr := privgraph.RandomizeEdges(g, 1.0/3, rand.New(rand.NewSource(3)))
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"dataset", g}, {"rr", rr}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				community.Louvain(in.g, rand.New(rand.NewSource(int64(i))))
 			}
 		})
 	}

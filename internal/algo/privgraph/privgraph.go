@@ -101,7 +101,7 @@ func (p *PrivGraph) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand
 
 	// ---- Phase 1: private community partition via randomized response +
 	// Louvain post-processing.
-	noisy := randomizeEdges(g, eps1, rng)
+	noisy := RandomizeEdges(g, eps1, rng)
 	part := community.Louvain(noisy, rng)
 	labels := part.Labels
 	k := part.NumCommunities
@@ -247,16 +247,18 @@ func (p *PrivGraph) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand
 	return b.Build(), nil
 }
 
-// randomizeEdges applies symmetric randomized response to the adjacency
-// bits at budget eps (each bit flips with probability 1/(e^ε+1), giving
-// ε-edge-DP since neighboring graphs differ in one bit): existing edges
-// are dropped with the RR flip probability; the expected number of
-// flipped-in non-edges is sampled in
-// aggregate and placed uniformly (the exchangeability shortcut also used
-// by TmF, avoiding the O(n²) scan). For small ε this densifies the graph
-// substantially — the known RR weakness on sparse graphs that the paper's
-// G1/G2 principles discuss; Louvain then runs as post-processing.
-func randomizeEdges(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Graph {
+// RandomizeEdges builds PrivGraph's phase-1 noisy graph, the input its
+// Louvain post-processing sees. It applies symmetric randomized response
+// to the adjacency bits at budget eps (each bit flips with probability
+// 1/(e^ε+1), giving ε-edge-DP since neighboring graphs differ in one
+// bit): existing edges are dropped with the RR flip probability; the
+// expected number of flipped-in non-edges is sampled in aggregate and
+// placed uniformly (the exchangeability shortcut also used by TmF,
+// avoiding the O(n²) scan). For small ε this densifies the graph
+// substantially — the known RR weakness on sparse graphs that the
+// paper's G1/G2 principles discuss; Louvain then runs as
+// post-processing.
+func RandomizeEdges(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Graph {
 	n := g.N()
 	q := dp.FlipProbability(eps)
 	// Collect surviving and flipped-in edges into a flat list and build

@@ -81,13 +81,13 @@ func TestSmallEpsilonDegradesGracefully(t *testing.T) {
 
 func TestRandomizeEdgesDensifiesAtLowEps(t *testing.T) {
 	g := gen.GNM(100, 200, rng(13))
-	noisy := randomizeEdges(g, 0.1, rng(14))
+	noisy := RandomizeEdges(g, 0.1, rng(14))
 	// RR at eps=0.1 flips nearly half of everything; with the 4m cap the
 	// noisy graph must still be substantially denser than the original
 	if noisy.M() < 2*g.M() {
 		t.Fatalf("RR graph m=%d; expected densification over %d", noisy.M(), g.M())
 	}
-	hi := randomizeEdges(g, 10, rng(15))
+	hi := RandomizeEdges(g, 10, rng(15))
 	if d := math.Abs(float64(hi.M() - g.M())); d > 0.2*float64(g.M()) {
 		t.Fatalf("RR at eps=10 m=%d, want ≈%d", hi.M(), g.M())
 	}

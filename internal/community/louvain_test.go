@@ -1,7 +1,9 @@
 package community
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,5 +136,144 @@ func TestQuickLouvainBeatsTrivial(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ascendingScan is the reference selection rule bestCommunity must
+// reproduce: visit the candidates in ascending id order and keep the
+// first whose gain beats the running best (initially 0, staying in cu)
+// by more than 1e-12.
+func ascendingScan(cands []int32, nbw, commTotDeg []float64, du, m2, baseGain float64, cu int32) int32 {
+	bestC, bestGain := cu, 0.0
+	for _, c := range slices.Sorted(slices.Values(cands)) {
+		gain := nbw[c] - commTotDeg[c]*du/m2
+		if gain-baseGain > bestGain+1e-12 {
+			bestGain = gain - baseGain
+			bestC = c
+		}
+	}
+	return bestC
+}
+
+// selectionCase is one bestCommunity input. With commTotDeg[c] = 0,
+// baseGain = 0, du = 1 and m2 = 1 a candidate's gain is exactly nbw[c],
+// which lets a case place gains at chosen bit patterns.
+type selectionCase struct {
+	cands           []int32
+	nbw, commTotDeg []float64
+	du, m2, base    float64
+	cu              int32
+}
+
+// exactGains builds a case whose candidate gains are exactly xs.
+func exactGains(r *rand.Rand, xs []float64) selectionCase {
+	const ids = 64
+	sc := selectionCase{nbw: make([]float64, ids), commTotDeg: make([]float64, ids), du: 1, m2: 1}
+	for _, i := range r.Perm(ids)[:len(xs)] {
+		sc.cands = append(sc.cands, int32(i))
+	}
+	for i, c := range sc.cands {
+		sc.nbw[c] = xs[i]
+	}
+	sc.cu = int32(r.Intn(ids))
+	if slices.Contains(sc.cands, sc.cu) {
+		sc.nbw[sc.cu] = 0 // staying put gains exactly 0
+	}
+	return sc
+}
+
+// nextafter steps x by k ulps (k may be negative).
+func nextafter(x float64, k int) float64 {
+	dir := math.Inf(1)
+	if k < 0 {
+		dir, k = math.Inf(-1), -k
+	}
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, dir)
+	}
+	return x
+}
+
+// selectionCases draws one case of each shape: exact ties at the top,
+// near-ties around the 1e-12 margin built from ulp steps, all gains at
+// or below 1e-12, and integer weights as localMove sees them (cu among
+// the candidates about half the time, small ranges so ties are common).
+func selectionCases(r *rand.Rand) []selectionCase {
+	top := r.Float64()
+	var out []selectionCase
+
+	ties := []float64{top, top, r.Float64() * top}
+	for i := r.Intn(3); i > 0; i-- {
+		ties = append(ties, top)
+	}
+	out = append(out, exactGains(r, ties))
+
+	margin := top - (top - 1e-12) // the top−second gap at which the rule flips
+	near := []float64{top, nextafter(top-margin, r.Intn(9)-4), nextafter(top, -r.Intn(5))}
+	for i := r.Intn(4); i > 0; i-- {
+		near = append(near, r.Float64()*top)
+	}
+	out = append(out, exactGains(r, near))
+
+	var low []float64
+	for i := 1 + r.Intn(6); i > 0; i-- {
+		switch r.Intn(4) {
+		case 0:
+			low = append(low, 1e-12)
+		case 1:
+			low = append(low, nextafter(1e-12, -r.Intn(4)))
+		case 2:
+			low = append(low, 0)
+		default:
+			low = append(low, -r.Float64())
+		}
+	}
+	if r.Intn(2) == 0 {
+		low = append(low, nextafter(1e-12, 1)) // the smallest gain that moves
+	}
+	out = append(out, exactGains(r, low))
+
+	const ids = 32
+	sc := selectionCase{nbw: make([]float64, ids), commTotDeg: make([]float64, ids)}
+	for _, i := range r.Perm(ids)[:1+r.Intn(8)] {
+		sc.cands = append(sc.cands, int32(i))
+		sc.nbw[i] = float64(1 + r.Intn(3))
+	}
+	for c := range sc.commTotDeg {
+		sc.commTotDeg[c] = float64(r.Intn(6))
+	}
+	sc.cu = int32(r.Intn(ids))
+	if r.Intn(2) == 0 && !slices.Contains(sc.cands, sc.cu) {
+		sc.cands = append(sc.cands, sc.cu)
+		sc.nbw[sc.cu] = float64(1 + r.Intn(3))
+	}
+	sc.du = float64(1 + r.Intn(4))
+	sc.m2 = float64(40 + r.Intn(60))
+	sc.base = sc.nbw[sc.cu] - sc.commTotDeg[sc.cu]*sc.du/sc.m2
+	return append(out, sc)
+}
+
+// property: the one-pass selection picks the same community as the
+// sorted ascending scan on every candidate set, ties and near-ties
+// included.
+func TestBestCommunityMatchesAscendingScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	moved, stayed := 0, 0
+	for i := 0; i < 20000; i++ {
+		for _, sc := range selectionCases(r) {
+			want := ascendingScan(sc.cands, sc.nbw, sc.commTotDeg, sc.du, sc.m2, sc.base, sc.cu)
+			got := bestCommunity(slices.Clone(sc.cands), sc.nbw, sc.commTotDeg, sc.du, sc.m2, sc.base, sc.cu)
+			if got != want {
+				t.Fatalf("case %d: bestCommunity = %d, ascending scan = %d (cands %v, cu %d)", i, got, want, sc.cands, sc.cu)
+			}
+			if got == sc.cu {
+				stayed++
+			} else {
+				moved++
+			}
+		}
+	}
+	if moved == 0 || stayed == 0 {
+		t.Fatalf("cases never exercised both outcomes: %d moved, %d stayed", moved, stayed)
 	}
 }
