@@ -80,7 +80,7 @@ func BenchmarkAlgorithms(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					rng := rand.New(rand.NewSource(int64(i)))
-					if _, err := alg.Generate(g, 1, rng); err != nil {
+					if _, err := alg.Generate(g, 1, rng, algo.Serial); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -92,10 +92,10 @@ func BenchmarkAlgorithms(b *testing.B) {
 // BenchmarkGenerate measures one generation per parallelized algorithm
 // at ε = 1 on a 4k-node BA graph — the per-algorithm unit the CI gate
 // pins (README "Benchmarking in CI") so generator regressions trip it.
-// Generation runs through algo.GenerateWith at the default worker count,
-// exactly as pgb.Generate and the grid runner execute it; outputs are
-// bit-identical to the serial path at any parallelism (DESIGN.md §10),
-// so ns/op and allocs/op are the only things that vary.
+// Generation runs at the default worker count (algo.Params{}), exactly
+// as pgb.Generate executes it; outputs are bit-identical to the serial
+// path at any parallelism (DESIGN.md §10), so ns/op and allocs/op are
+// the only things that vary.
 func BenchmarkGenerate(b *testing.B) {
 	g := gen.BarabasiAlbert(4000, 8, rand.New(rand.NewSource(21)))
 	for _, algName := range []string{"LDPGen", "PrivGraph", "PrivHRG", "DP-dK", "TmF"} {
@@ -108,7 +108,7 @@ func BenchmarkGenerate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := algo.GenerateWith(alg, g, 1, rng, algo.Params{}); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Params{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,7 +129,7 @@ func BenchmarkTable7Grid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(int64(i)))
-		syn, err := alg.Generate(g, 1, r)
+		syn, err := alg.Generate(g, 1, r, algo.Serial)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func BenchmarkFig2Cells(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := rand.New(rand.NewSource(int64(i)))
-				syn, err := alg.Generate(g, 1, r)
+				syn, err := alg.Generate(g, 1, r, algo.Serial)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,7 +325,7 @@ func BenchmarkTmFFilterAblation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Serial); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -346,7 +346,7 @@ func BenchmarkDPdKSensitivity(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Serial); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -367,7 +367,7 @@ func BenchmarkDGGConstruction(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Serial); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -390,7 +390,7 @@ func BenchmarkPrivGraphSplit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Serial); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -432,7 +432,7 @@ func BenchmarkPrivHRGMCMC(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
-				if _, err := alg.Generate(g, 1, rng); err != nil {
+				if _, err := alg.Generate(g, 1, rng, algo.Serial); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -472,7 +472,7 @@ func BenchmarkServerCompare(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)))
+	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)), algo.Serial)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func BenchmarkCompareAlloc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)))
+	syn, err := alg.Generate(truth, 1, rand.New(rand.NewSource(1)), algo.Serial)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pgb/internal/algo"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 )
@@ -32,7 +33,7 @@ func cmdReport(args []string) error {
 	}
 	truth := core.ComputeProfileCached(g, core.ProfileOptions{}, *seed+1)
 	rng := rand.New(rand.NewSource(*seed + 2))
-	syn, err := alg.Generate(g, *eps, rng)
+	syn, err := alg.Generate(g, *eps, rng, algo.Params{})
 	if err != nil {
 		return err
 	}
@@ -102,7 +103,7 @@ func cmdLDP(args []string) error {
 				for rep := 0; rep < *reps; rep++ {
 					genSeed := *seed + int64(rep)*71 + int64(e*1000)
 					r := rand.New(rand.NewSource(genSeed))
-					syn, err := alg.Generate(g, e, r)
+					syn, err := alg.Generate(g, e, r, algo.Params{})
 					if err != nil {
 						continue
 					}

@@ -28,10 +28,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"pgb/internal/algo"
 	"pgb/internal/core"
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
@@ -394,6 +396,15 @@ func cmdGenerate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	writers := map[string]func(io.Writer, *graph.Graph) error{
+		"edgelist": graph.WriteEdgeList,
+		"csv":      core.WriteEdgeCSV,
+		"dot":      func(w io.Writer, g *graph.Graph) error { return graph.WriteDOT(w, g, nil) },
+	}
+	write, ok := writers[*format]
+	if !ok {
+		return fmt.Errorf("unknown -format %q (want edgelist, csv or dot)", *format)
+	}
 	spec, err := datasets.ByName(*dsName)
 	if err != nil {
 		return err
@@ -404,18 +415,9 @@ func cmdGenerate(args []string) error {
 		return err
 	}
 	rng := randNew(*seed + 1)
-	syn, err := alg.Generate(g, *eps, rng)
+	syn, err := alg.Generate(g, *eps, rng, algo.Params{})
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "edgelist":
-		return graph.WriteEdgeList(os.Stdout, syn)
-	case "csv":
-		return core.WriteEdgeCSV(os.Stdout, syn)
-	case "dot":
-		return graph.WriteDOT(os.Stdout, syn, nil)
-	default:
-		return fmt.Errorf("unknown -format %q (want edgelist, csv or dot)", *format)
-	}
+	return write(os.Stdout, syn)
 }

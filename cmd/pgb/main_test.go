@@ -1,8 +1,12 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
+
+	"pgb/internal/core"
 )
 
 func TestSplitList(t *testing.T) {
@@ -90,5 +94,36 @@ func TestServeHTTPServerHasReadHeaderTimeout(t *testing.T) {
 	hs := newHTTPServer(":0", nil)
 	if hs.ReadHeaderTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+}
+
+// TestCmdGenerateGolden pins a digest of what `pgb generate` prints for
+// each paper mechanism on a tiny BA graph, so the CLI generation path
+// cannot drift from the values every other caller produces.
+func TestCmdGenerateGolden(t *testing.T) {
+	want := map[string]string{
+		"DP-dK":     "f484de2d8ccee7eea48005425dbd55bac229875f8647f346b0ddc0331c570233",
+		"TmF":       "6236920fee57e4d888d2b6b5d553ba957d87ea0b0a3451ed2a9abdc1b3c4c64c",
+		"PrivSKG":   "d9656bb496ea04ad6e1409c198b9c8a985c3b7f5474ef196043a1419205a8c7c",
+		"PrivHRG":   "2c0fadf37cf72440c906dcc50a68056562f889a5077107dab656f128a96ef116",
+		"PrivGraph": "3742def16bfe57bdfd9563ec49cc874942ce0b6b097664a2323d9718dc4788e3",
+		"DGG":       "8f764937dfc5e15bbbb1d603b747ff641f9a4307a1c42b1e358ef5d8a231773f",
+	}
+	for _, alg := range core.AlgorithmNames() {
+		out := captureStdout(t, func() error {
+			return cmdGenerate([]string{"-alg", alg, "-dataset", "BA", "-scale", "0.02", "-format", "edgelist"})
+		})
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want[alg] {
+			t.Errorf("%s: output digest %s, want %s", alg, got, want[alg])
+		}
+	}
+}
+
+// An unknown -format must fail before the dataset is loaded or any
+// mechanism runs, so the unknown dataset here is never reached.
+func TestCmdGenerateUnknownFormat(t *testing.T) {
+	err := cmdGenerate([]string{"-format", "xml", "-dataset", "nope"})
+	if err == nil || !strings.Contains(err.Error(), "-format") {
+		t.Fatalf("expected -format error, got %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pgb"
+	"pgb/internal/algo"
 	"pgb/internal/core"
 )
 
@@ -76,7 +77,7 @@ func TestGenerateMatchesSerialReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Generate(g, 1.0, rand.New(rand.NewSource(19)))
+			want, err := ref.Generate(g, 1.0, rand.New(rand.NewSource(19)), algo.Serial)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgb/internal/algo"
 	"pgb/internal/gen"
 	"pgb/internal/graph"
 )
@@ -38,7 +39,7 @@ func TestCountEdgesIn(t *testing.T) {
 
 func TestEdgeCountRoughlyPreserved(t *testing.T) {
 	g := gen.GNM(128, 500, rng(1))
-	syn, err := Default().Generate(g, 20, rng(2))
+	syn, err := Default().Generate(g, 20, rng(2), algo.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,17 +51,17 @@ func TestEdgeCountRoughlyPreserved(t *testing.T) {
 func TestDenseRegionFoundByQuadtree(t *testing.T) {
 	// plant a dense block among nodes 0..31 and near-nothing elsewhere;
 	// the reconstruction should put most edges back inside the block
-	b := graph.NewBuilder(128)
+	b := graph.NewEdgeSet(128, 0)
 	r := rng(3)
 	for i := 0; i < 300; i++ {
 		u, v := int32(r.Intn(32)), int32(r.Intn(32))
-		_ = b.AddEdge(u, v)
+		b.Add(u, v)
 	}
 	for i := 0; i < 20; i++ {
-		_ = b.AddEdge(int32(32+r.Intn(96)), int32(32+r.Intn(96)))
+		b.Add(int32(32+r.Intn(96)), int32(32+r.Intn(96)))
 	}
 	g := b.Build()
-	syn, err := Default().Generate(g, 10, rng(4))
+	syn, err := Default().Generate(g, 10, rng(4), algo.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,21 +15,21 @@ import (
 // density), a disconnected forest (no giant component), and an empty
 // graph with many nodes.
 func pathologicalGraphs() map[string]*graph.Graph {
-	star := graph.NewBuilder(60)
+	star := graph.NewEdgeSet(60, 0)
 	for i := int32(1); i < 60; i++ {
-		_ = star.AddEdge(0, i)
+		star.Add(0, i)
 	}
-	complete := graph.NewBuilder(30)
+	complete := graph.NewEdgeSet(30, 0)
 	for u := int32(0); u < 30; u++ {
 		for v := u + 1; v < 30; v++ {
-			_ = complete.AddEdge(u, v)
+			complete.Add(u, v)
 		}
 	}
-	forest := graph.NewBuilder(80)
+	forest := graph.NewEdgeSet(80, 0)
 	for i := int32(0); i < 80; i += 4 {
-		_ = forest.AddEdge(i, i+1)
-		_ = forest.AddEdge(i+1, i+2)
-		_ = forest.AddEdge(i+2, i+3)
+		forest.Add(i, i+1)
+		forest.Add(i+1, i+2)
+		forest.Add(i+2, i+3)
 	}
 	return map[string]*graph.Graph{
 		"star":     star.Build(),
@@ -45,7 +45,7 @@ func TestPathologicalInputs(t *testing.T) {
 		for _, a := range generators() {
 			for _, eps := range []float64{0.1, 5} {
 				r := rand.New(rand.NewSource(9))
-				syn, err := a.Generate(g, eps, r)
+				syn, err := a.Generate(g, eps, r, algo.Serial)
 				if err != nil {
 					t.Errorf("%s on %s eps=%g: %v", a.Name(), gname, eps, err)
 					continue
@@ -71,7 +71,7 @@ func TestQuickGeneratorsAlwaysValid(t *testing.T) {
 		g := gen.GNP(n, 0.08, r)
 		eps := 0.1 + float64(rawEps%100)/10
 		a := gens[int(uint64(seed)%uint64(len(gens)))]
-		syn, err := a.Generate(g, eps, r)
+		syn, err := a.Generate(g, eps, r, algo.Serial)
 		if err != nil {
 			return false
 		}

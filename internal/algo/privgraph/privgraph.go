@@ -74,20 +74,14 @@ func (p *PrivGraph) Delta() float64 { return 0 }
 // Complexity implements algo.Generator (Table VIII).
 func (p *PrivGraph) Complexity() (string, string) { return "O(n^2)", "O(m + n)" }
 
-// Generate implements algo.Generator — the serial path of
-// GenerateParallel.
-func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand) (*graph.Graph, error) {
-	return p.GenerateParallel(g, eps, rng, algo.Serial)
-}
-
-// GenerateParallel implements algo.ParallelGenerator. The phase-2
+// Generate implements algo.Generator. The phase-2
 // statistics scan — intra-community degrees and inter-community edge
 // counts over every adjacency — is node-sharded across prm's workers
 // into flat arenas with exact integer merges (atomic counts), so the
-// output is bit-identical to Generate's at any worker count; the
+// output is bit-identical at every worker count; the
 // randomized-response draws, Louvain post-processing, Laplace noise and
 // construction sampling all stay on rng in the serial order.
-func (p *PrivGraph) GenerateParallel(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
+func (p *PrivGraph) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Params) (*graph.Graph, error) {
 	acct := dp.NewAccountant(eps)
 	eps1 := eps * p.opt.Split[0]
 	eps2 := eps * p.opt.Split[1]
@@ -262,8 +256,7 @@ func RandomizeEdges(g *graph.Graph, eps float64, rng *rand.Rand) *graph.Graph {
 	n := g.N()
 	q := dp.FlipProbability(eps)
 	// Collect surviving and flipped-in edges into a flat list and build
-	// the CSR arena directly: FromEdges deduplicates exactly like the
-	// legacy per-node Builder maps did, without their allocations. The
+	// the CSR arena directly; FromEdges drops the duplicates. The
 	// rng draw sequence (one Float64 per true edge in canonical order,
 	// then two Intn per flip-in attempt) is unchanged.
 	edges := make([]graph.Edge, 0, g.M())

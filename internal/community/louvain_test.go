@@ -101,9 +101,9 @@ func TestQuickLouvainValid(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(40)
-		b := graph.NewBuilder(n)
+		b := graph.NewEdgeSet(n, 0)
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			b.Add(int32(r.Intn(n)), int32(r.Intn(n)))
 		}
 		g := b.Build()
 		res := Louvain(g, r)

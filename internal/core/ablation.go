@@ -98,7 +98,7 @@ func RunAblation(name, dataset string, scale float64, reps int, seed int64) (str
 				for rep := 0; rep < reps; rep++ {
 					genSeed := seed + int64(rep)*101 + int64(e*1000)
 					r := rand.New(rand.NewSource(genSeed))
-					syn, err := v.Generator.Generate(g, e, r)
+					syn, err := v.Generator.Generate(g, e, r, algo.Params{})
 					if err != nil {
 						continue
 					}

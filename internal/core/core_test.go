@@ -50,9 +50,6 @@ func TestProfileSelfScoreIsPerfect(t *testing.T) {
 			t.Errorf("%s self-error = %g, want 0", q, v)
 		}
 	}
-	if !VerifyMetricsIdentity(p) {
-		t.Fatal("identity check failed")
-	}
 }
 
 func TestProfileValues(t *testing.T) {
@@ -87,9 +84,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := NewAlgorithm("bogus"); err == nil {
 		t.Fatal("unknown algorithm accepted")
-	}
-	if len(DefaultAlgorithms()) != 6 {
-		t.Fatal("DefaultAlgorithms wrong size")
 	}
 }
 
@@ -145,6 +139,16 @@ func TestRunUnknownDataset(t *testing.T) {
 	cfg.Datasets = []string{"nope"}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+// A NaN ε must fail the run upfront: as a map key it would otherwise
+// break the best-count tables (NaN != NaN).
+func TestRunRejectsNonFiniteEps(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Epsilons = []float64{math.NaN()}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("NaN epsilon accepted")
 	}
 }
 

@@ -266,7 +266,7 @@ func TestRunWithQuerySubsetAndCustomQuery(t *testing.T) {
 	id, err := RegisterQuery(QuerySpec{
 		Symbol: "TestDensity",
 		Compute: func(g *graph.Graph, _ ProfileOptions, _ *rand.Rand) float64 {
-			return g.Density()
+			return 2 * float64(g.M()) / (float64(g.N()) * float64(g.N()-1))
 		},
 	})
 	if err != nil {

@@ -49,19 +49,5 @@ func NewAlgorithm(name string) (algo.Generator, error) {
 	return nil, fmt.Errorf("core: unknown algorithm %q", name)
 }
 
-// DefaultAlgorithms returns the six benchmark mechanisms instantiated
-// with their paper parameterisation.
-func DefaultAlgorithms() []algo.Generator {
-	out := make([]algo.Generator, 0, 6)
-	for _, n := range AlgorithmNames() {
-		g, err := NewAlgorithm(n)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, g)
-	}
-	return out
-}
-
 // Epsilons returns the paper's privacy-budget grid P.
 func Epsilons() []float64 { return []float64{0.1, 0.5, 1, 2, 5, 10} }

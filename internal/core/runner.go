@@ -217,10 +217,16 @@ func Run(cfg Config) (*Results, error) {
 	}
 	// Every grid axis is validated before any work starts: a typo'd
 	// algorithm name fails the run immediately instead of surfacing as
-	// one silent error cell per (dataset, epsilon).
+	// one silent error cell per (dataset, epsilon), and a NaN ε would
+	// otherwise key the result maps with a value no lookup can find.
 	for _, name := range cfg.Algorithms {
 		if _, err := NewAlgorithm(name); err != nil {
 			return nil, err
+		}
+	}
+	for _, eps := range cfg.Epsilons {
+		if !(eps > 0) || math.IsInf(eps, 1) {
+			return nil, fmt.Errorf("core: privacy budget %g is not positive and finite", eps)
 		}
 	}
 	cells := gridCells(cfg)
@@ -386,7 +392,7 @@ func MeasureGenerateWith(g algo.Generator, in *graph.Graph, eps float64, rng *ra
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now() //pgb:walltime the wall clock is the measurement itself; sec never feeds values or digests
-	out, err = algo.GenerateWith(g, in, eps, rng, p)
+	out, err = g.Generate(in, eps, rng, p)
 	sec = time.Since(start).Seconds() //pgb:walltime the wall clock is the measurement itself; sec never feeds values or digests
 	runtime.ReadMemStats(&after)
 	bytes = float64(after.TotalAlloc - before.TotalAlloc)

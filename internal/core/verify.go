@@ -6,9 +6,9 @@ import (
 	"sort"
 	"strings"
 
+	"pgb/internal/algo"
 	"pgb/internal/datasets"
 	"pgb/internal/graph"
-	"pgb/internal/metrics"
 	"pgb/internal/stats"
 )
 
@@ -30,7 +30,7 @@ func VerifyDPdK(scale float64, reps int, seed int64) (string, error) {
 		for rep := 0; rep < reps; rep++ {
 			genSeed := seed + int64(i*1000+rep)
 			r2 := rand.New(rand.NewSource(genSeed))
-			syn, err := alg.Generate(g, eps, r2)
+			syn, err := alg.Generate(g, eps, r2, algo.Params{})
 			if err != nil {
 				return "", err
 			}
@@ -112,7 +112,7 @@ func VerifyPrivSKG(scale float64, seed int64) (string, error) {
 		return "", err
 	}
 	rng := rand.New(rand.NewSource(seed + 5))
-	syn, err := alg.Generate(g, 0.2, rng)
+	syn, err := alg.Generate(g, 0.2, rng, algo.Params{})
 	if err != nil {
 		return "", err
 	}
@@ -254,7 +254,7 @@ func verifySeries(algName string, spec datasets.Spec, scale float64, reps int, s
 			for rep := 0; rep < reps; rep++ {
 				genSeed := seed + int64(rep)*31 + int64(e*100)
 				r2 := rand.New(rand.NewSource(genSeed))
-				syn, err := alg.Generate(g, e, r2)
+				syn, err := alg.Generate(g, e, r2, algo.Params{})
 				if err != nil {
 					return "", err
 				}
@@ -298,7 +298,7 @@ func Fig7(scale float64, reps int, seed int64) (string, error) {
 					for rep := 0; rep < reps; rep++ {
 						genSeed := seed + int64(rep)*37 + int64(e*100)
 						r2 := rand.New(rand.NewSource(genSeed))
-						syn, err := alg.Generate(g, e, r2)
+						syn, err := alg.Generate(g, e, r2, algo.Params{})
 						if err != nil {
 							continue
 						}
@@ -318,11 +318,4 @@ func Fig7(scale float64, reps int, seed int64) (string, error) {
 		}
 	}
 	return sb.String(), nil
-}
-
-// VerifyMetricsIdentity is a convenience check used by examples: it
-// verifies the metric identities on a profile compared against itself.
-func VerifyMetricsIdentity(p *Profile) bool {
-	return metrics.NMI(p.CommunityLabels, p.CommunityLabels) == 1 &&
-		metrics.RelativeError(p.NumEdges, p.NumEdges) == 0
 }

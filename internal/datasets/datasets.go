@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"pgb/internal/gen"
 	"pgb/internal/graph"
@@ -362,18 +361,4 @@ func Names() []string {
 		names[i] = s.Name
 	}
 	return names
-}
-
-// SortedTypes returns the distinct dataset types, sorted.
-func SortedTypes() []string {
-	seen := map[string]struct{}{}
-	for _, s := range All() {
-		seen[s.Type] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -113,8 +113,11 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSortedTypesCoversSevenDomains(t *testing.T) {
-	types := SortedTypes()
+func TestTypesCoverSevenDomains(t *testing.T) {
+	types := map[string]bool{}
+	for _, s := range All() {
+		types[s.Type] = true
+	}
 	if len(types) != 7 {
 		t.Fatalf("types = %v, want 7 domains", types)
 	}

@@ -137,13 +137,15 @@ func NewAccountant(epsilon float64) *Accountant {
 	return &Accountant{total: epsilon}
 }
 
-// Spend consumes eps from the budget.
+// Spend consumes eps from the budget. Both checks fail closed: a NaN
+// spend or total makes every comparison false, so each is written to
+// reject unless the budget is shown to be valid.
 func (a *Accountant) Spend(eps float64) error {
-	if eps <= 0 {
-		return fmt.Errorf("dp: non-positive spend %g", eps)
+	if !(eps > 0) || math.IsInf(eps, 1) {
+		return fmt.Errorf("dp: spend %g is not a positive finite budget", eps)
 	}
 	// Tolerate float rounding at the boundary.
-	if a.spent+eps > a.total*(1+1e-9) {
+	if !(a.spent+eps <= a.total*(1+1e-9)) {
 		return fmt.Errorf("dp: budget exceeded: spent %g + %g > total %g", a.spent, eps, a.total)
 	}
 	a.spent += eps

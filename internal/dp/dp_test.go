@@ -225,12 +225,25 @@ func TestAccountantEnforcesBudget(t *testing.T) {
 }
 
 func TestAccountantRejectsNonPositive(t *testing.T) {
-	a := NewAccountant(1)
-	if err := a.Spend(0); err == nil {
-		t.Fatal("zero spend accepted")
-	}
-	if err := a.Spend(-1); err == nil {
-		t.Fatal("negative spend accepted")
+	for _, tc := range []struct {
+		name         string
+		total, spend float64
+	}{
+		{"zero", 1, 0},
+		{"negative", 1, -1},
+		{"NaN", 1, math.NaN()},
+		{"+Inf", 1, math.Inf(1)},
+		{"-Inf", 1, math.Inf(-1)},
+		{"NaN total", math.NaN(), 1},
+		{"+Inf total and spend", math.Inf(1), math.Inf(1)},
+	} {
+		a := NewAccountant(tc.total)
+		if err := a.Spend(tc.spend); err == nil {
+			t.Errorf("%s: Spend(%g) of total %g accepted", tc.name, tc.spend, tc.total)
+		}
+		if a.Spent() != 0 {
+			t.Errorf("%s: rejected spend still counted: spent %g", tc.name, a.Spent())
+		}
 	}
 }
 

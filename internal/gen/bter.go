@@ -49,7 +49,7 @@ func BTER(degrees []int, rho float64, rng *rand.Rand) *graph.Graph {
 	// `order` and each unordered pair inside a block is drawn at most
 	// once, so phase 1 cannot propose a duplicate — no membership probe
 	// is needed, and FromEdges dedups the (possible) phase-1/phase-2
-	// collisions exactly as the per-node Builder maps used to.
+	// collisions.
 	halfMass := 0
 	for _, d := range degrees {
 		halfMass += d

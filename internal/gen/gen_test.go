@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -159,16 +160,25 @@ func TestHavelHakimiRealizesSequence(t *testing.T) {
 func TestJDMRoundTrip(t *testing.T) {
 	r := rng()
 	g := GNM(60, 150, r)
-	jdm := JDMOf(g)
-	total := 0.0
-	//pgb:deterministic JDM counts are integer-valued, so float addition is exact and commutative
-	for _, c := range jdm.Counts {
-		total += c
+	counts := map[[2]int]float64{}
+	for e := range g.EdgeSeq() {
+		j, k := g.Degree(e.U), g.Degree(e.V)
+		if j > k {
+			j, k = k, j
+		}
+		counts[[2]int{j, k}]++
 	}
-	if int(total) != g.M() {
-		t.Fatalf("JDM total = %g, want %d", total, g.M())
+	entries := make([]JDMEntry, 0, len(counts))
+	for key, c := range counts {
+		entries = append(entries, JDMEntry{J: key[0], K: key[1], Count: c})
 	}
-	rebuilt := BuildFrom2K(jdm, 60, r)
+	sort.Slice(entries, func(a, b int) bool {
+		if entries[a].J != entries[b].J {
+			return entries[a].J < entries[b].J
+		}
+		return entries[a].K < entries[b].K
+	})
+	rebuilt := BuildFrom2KEntries(entries, 60, r)
 	if rebuilt.M() == 0 {
 		t.Fatal("2K rebuild produced empty graph")
 	}
@@ -344,9 +354,9 @@ func TestQuickHavelHakimiExact(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 4 + r.Intn(20)
 		// generate a graphical sequence by reading degrees off a random graph
-		b := graph.NewBuilder(n)
+		b := graph.NewEdgeSet(n, 0)
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			b.Add(int32(r.Intn(n)), int32(r.Intn(n)))
 		}
 		d := b.Build().Degrees()
 		g := HavelHakimi(d)

@@ -7,9 +7,8 @@
 //
 // Construction discipline: generators whose control flow never reads the
 // partial edge set accumulate a flat []graph.Edge and finish with
-// graph.FromEdges (duplicates and self-loops are dropped there, exactly
-// as the legacy per-node Builder maps dropped them, so outputs are
-// bit-identical); generators that probe membership mid-loop (rejection
+// graph.FromEdges (duplicates and self-loops are dropped there);
+// generators that probe membership mid-loop (rejection
 // sampling, rewiring) use graph.EdgeSet, which keeps the probe O(1) on a
 // single hash set instead of one map per node. Either way the RNG draw
 // sequence is untouched, so every graph remains the same pure function

@@ -2,14 +2,11 @@ package graph
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
-// FuzzReadEdgeList: the native edge-list parser must never panic, and
-// accepted graphs must validate and survive a write/read round trip.
 // FuzzFromEdgesMatchesBuilder: the direct-CSR FromEdges construction
-// must agree with the Builder reference for arbitrary byte-derived edge
+// must agree with the naive refBuilder for arbitrary byte-derived edge
 // lists — same fingerprint, same validation outcome. Each consecutive
 // byte pair is one (possibly degenerate) edge over a small node range,
 // so self-loops, duplicates, and out-of-range endpoints all occur.
@@ -20,51 +17,22 @@ func FuzzFromEdgesMatchesBuilder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, rawN uint8) {
 		n := int(rawN % 64)
 		edges := make([]Edge, 0, len(data)/2)
-		b := NewBuilder(n)
+		b := newRefBuilder(n)
 		for i := 0; i+1 < len(data); i += 2 {
 			e := Edge{U: int32(data[i]) - 2, V: int32(data[i+1]) - 2}
 			edges = append(edges, e)
-			_ = b.AddEdge(e.U, e.V)
+			b.add(e.U, e.V)
 		}
 		g := FromEdges(n, edges)
-		ref := b.Build()
+		ref := b.build()
 		if err := g.Validate(); err != nil {
 			t.Fatalf("FromEdges graph fails invariants: %v", err)
 		}
 		if g.N() != ref.N() || g.M() != ref.M() {
-			t.Fatalf("FromEdges %v differs from Builder %v", g, ref)
+			t.Fatalf("FromEdges %v differs from reference %v", g, ref)
 		}
 		if g.Fingerprint() != ref.Fingerprint() {
 			t.Fatalf("fingerprint mismatch: %x vs %x", g.Fingerprint(), ref.Fingerprint())
-		}
-	})
-}
-
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("# nodes=3 edges=1\n0 1\n")
-	f.Add("0 1\n2 3\n")
-	f.Add("# nodes=abc\n1 2\n")
-	f.Add("")
-	f.Add("x y\n")
-	f.Add("1 1\n1 2 3 4\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails invariants: %v", err)
-		}
-		var sb strings.Builder
-		if err := WriteEdgeList(&sb, g); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadEdgeList(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("round trip parse: %v", err)
-		}
-		if back.N() != g.N() || back.M() != g.M() {
-			t.Fatalf("round trip changed graph: %v vs %v", back, g)
 		}
 	})
 }

@@ -6,7 +6,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -19,7 +18,7 @@ import (
 // nbr[off[u]:off[u+1]]. The flat layout keeps every adjacency scan on
 // one contiguous allocation — the hot kernels (triangle counting, BFS)
 // walk it cache-line by cache-line instead of chasing one pointer per
-// node. Construction goes through Builder or FromEdges (which
+// node. Construction goes through FromEdges or EdgeSet (which
 // deduplicate); a finished Graph is immutable by convention.
 type Graph struct {
 	n   int
@@ -137,24 +136,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Density returns 2m / (n(n-1)), the fraction of possible edges present.
-func (g *Graph) Density() float64 {
-	if g.n < 2 {
-		return 0
-	}
-	return 2 * float64(g.m) / (float64(g.n) * float64(g.n-1))
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		n:   g.n,
-		m:   g.m,
-		off: slices.Clone(g.off),
-		nbr: slices.Clone(g.nbr),
-	}
-}
-
 // Validate checks structural invariants: consistent offsets, sorted
 // adjacency, symmetry, no self-loops, no duplicates, and consistent edge
 // count. It is used by tests and by algorithm post-conditions.
@@ -195,105 +176,6 @@ func (g *Graph) Validate() error {
 // String implements fmt.Stringer.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph{n=%d, m=%d}", g.n, g.m)
-}
-
-// ErrNodeRange is returned by Builder.AddEdge for out-of-range endpoints.
-var ErrNodeRange = errors.New("graph: node index out of range")
-
-// Builder accumulates edges and produces an immutable Graph. Duplicate
-// edges and self-loops are silently dropped, so algorithm construction
-// stages can emit candidate edges freely.
-type Builder struct {
-	n   int
-	adj []map[int32]struct{}
-}
-
-// NewBuilder returns a Builder for a graph with n nodes.
-func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, adj: make([]map[int32]struct{}, n)}
-	return b
-}
-
-// N returns the number of nodes the builder was created with.
-func (b *Builder) N() int { return b.n }
-
-// AddEdge inserts the undirected edge {u, v}, ignoring self-loops and
-// duplicates. Returns ErrNodeRange if an endpoint is out of range.
-func (b *Builder) AddEdge(u, v int32) error {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		return ErrNodeRange
-	}
-	if u == v {
-		return nil
-	}
-	if b.adj[u] == nil {
-		b.adj[u] = make(map[int32]struct{})
-	}
-	if b.adj[v] == nil {
-		b.adj[v] = make(map[int32]struct{})
-	}
-	b.adj[u][v] = struct{}{}
-	b.adj[v][u] = struct{}{}
-	return nil
-}
-
-// HasEdge reports whether {u, v} has been added.
-func (b *Builder) HasEdge(u, v int32) bool {
-	if u < 0 || int(u) >= b.n || b.adj[u] == nil {
-		return false
-	}
-	_, ok := b.adj[u][v]
-	return ok
-}
-
-// RemoveEdge deletes the undirected edge {u, v} if present.
-func (b *Builder) RemoveEdge(u, v int32) {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		return
-	}
-	if b.adj[u] != nil {
-		delete(b.adj[u], v)
-	}
-	if b.adj[v] != nil {
-		delete(b.adj[v], u)
-	}
-}
-
-// M returns the current number of distinct edges.
-func (b *Builder) M() int {
-	half := 0
-	for _, s := range b.adj {
-		half += len(s)
-	}
-	return half / 2
-}
-
-// Degree returns the current degree of node u.
-func (b *Builder) Degree(u int32) int {
-	if u < 0 || int(u) >= b.n {
-		return 0
-	}
-	return len(b.adj[u])
-}
-
-// Build finalizes the builder into an immutable CSR Graph.
-func (b *Builder) Build() *Graph {
-	off := make([]int64, b.n+1)
-	for u := 0; u < b.n; u++ {
-		off[u+1] = off[u] + int64(len(b.adj[u]))
-	}
-	nbr := make([]int32, off[b.n])
-	for u := 0; u < b.n; u++ {
-		if len(b.adj[u]) == 0 {
-			continue
-		}
-		seg := nbr[off[u]:off[u]:off[u+1]]
-		for v := range b.adj[u] {
-			seg = append(seg, v)
-		}
-		slices.Sort(seg)
-	}
-	return &Graph{n: b.n, m: int(off[b.n] / 2), off: off, nbr: nbr}
 }
 
 // FromEdges constructs a graph with n nodes from an edge list, dropping
@@ -355,11 +237,9 @@ func FromEdges(n int, edges []Edge) *Graph {
 // probes, backed by one hash set keyed on the packed canonical pair plus
 // a flat edge list — the cheap mutable companion of FromEdges for
 // generator loops whose control flow (rejection sampling, rewiring,
-// budget checks) depends on which edges exist so far. Compared to
-// Builder it allocates one map instead of one per node, and Build goes
-// through the direct-CSR FromEdges path. Semantics match Builder
-// exactly: self-loops, duplicates, and out-of-range endpoints are
-// silently dropped.
+// budget checks) depends on which edges exist so far. Build goes
+// through the direct-CSR FromEdges path; like FromEdges, it silently
+// drops self-loops, duplicates, and out-of-range endpoints.
 type EdgeSet struct {
 	n     int
 	set   map[uint64]struct{}
@@ -419,24 +299,6 @@ func (s *EdgeSet) M() int { return len(s.edges) }
 
 // Build finalizes the accumulated edges into an immutable CSR Graph.
 func (s *EdgeSet) Build() *Graph { return FromEdges(s.n, s.edges) }
-
-// Subgraph returns the induced subgraph on the given nodes, relabelled to
-// 0..len(nodes)-1 in the given order.
-func (g *Graph) Subgraph(nodes []int32) *Graph {
-	idx := make(map[int32]int32, len(nodes))
-	for i, u := range nodes {
-		idx[u] = int32(i)
-	}
-	var edges []Edge
-	for i, u := range nodes {
-		for _, v := range g.Neighbors(u) {
-			if j, ok := idx[v]; ok {
-				edges = append(edges, Canon(int32(i), j))
-			}
-		}
-	}
-	return FromEdges(len(nodes), edges)
-}
 
 // LargestComponent returns the node set of the largest connected component.
 func (g *Graph) LargestComponent() []int32 {

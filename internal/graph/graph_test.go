@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,21 +25,59 @@ func TestNewNegative(t *testing.T) {
 	}
 }
 
+// refBuilder is the naive construction the tests check FromEdges and
+// EdgeSet against: a set of canonical pairs under the same drop rules
+// (self-loops, duplicates, out-of-range endpoints), built by sorting
+// each node's adjacency.
+type refBuilder struct {
+	n     int
+	pairs map[Edge]bool
+}
+
+func newRefBuilder(n int) *refBuilder { return &refBuilder{n: n, pairs: map[Edge]bool{}} }
+
+func (b *refBuilder) add(u, v int32) {
+	if u != v && u >= 0 && v >= 0 && int(u) < b.n && int(v) < b.n {
+		b.pairs[Canon(u, v)] = true
+	}
+}
+
+func (b *refBuilder) has(u, v int32) bool { return b.pairs[Canon(u, v)] }
+
+func (b *refBuilder) build() *Graph {
+	adj := make([][]int32, b.n)
+	//pgb:deterministic every adjacency list is sorted below
+	for e := range b.pairs {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	g := &Graph{n: b.n, m: len(b.pairs), off: make([]int64, b.n+1)}
+	for u, a := range adj {
+		slices.Sort(a)
+		g.nbr = append(g.nbr, a...)
+		g.off[u+1] = int64(len(g.nbr))
+	}
+	return g
+}
+
+// TestBuilderBasic checks the incremental builder, EdgeSet: reversed
+// duplicates and self-loops are dropped and Build yields a valid graph.
 func TestBuilderBasic(t *testing.T) {
-	b := NewBuilder(4)
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
+	s := NewEdgeSet(4, 0)
+	if !s.Add(0, 1) {
+		t.Fatal("new edge 0-1 not reported new")
 	}
-	if err := b.AddEdge(1, 0); err != nil { // duplicate reversed
-		t.Fatal(err)
+	if s.Add(1, 0) { // duplicate reversed
+		t.Fatal("reversed duplicate reported new")
 	}
-	if err := b.AddEdge(2, 2); err != nil { // self loop dropped
-		t.Fatal(err)
+	if s.Add(2, 2) { // self loop dropped
+		t.Fatal("self loop reported new")
 	}
-	if err := b.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
+	s.Add(2, 3)
+	if s.M() != 2 {
+		t.Fatalf("EdgeSet.M = %d, want 2", s.M())
 	}
-	g := b.Build()
+	g := s.Build()
 	if g.M() != 2 {
 		t.Fatalf("M = %d, want 2", g.M())
 	}
@@ -53,30 +92,25 @@ func TestBuilderBasic(t *testing.T) {
 	}
 }
 
+// TestBuilderRange checks that EdgeSet drops edges with an endpoint
+// outside [0, n) rather than storing them.
 func TestBuilderRange(t *testing.T) {
-	b := NewBuilder(3)
-	if err := b.AddEdge(0, 3); err != ErrNodeRange {
-		t.Fatalf("got %v, want ErrNodeRange", err)
+	s := NewEdgeSet(3, 0)
+	if s.Add(0, 3) || s.Add(-1, 0) || s.Add(3, 3) {
+		t.Fatal("out-of-range edge reported new")
 	}
-	if err := b.AddEdge(-1, 0); err != ErrNodeRange {
-		t.Fatalf("got %v, want ErrNodeRange", err)
+	if s.Has(0, 3) || s.Has(-1, 0) {
+		t.Fatal("out-of-range edge reported present")
 	}
-}
-
-func TestBuilderRemoveEdge(t *testing.T) {
-	b := NewBuilder(3)
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(1, 2)
-	b.RemoveEdge(1, 0)
-	if b.HasEdge(0, 1) {
-		t.Fatal("edge 0-1 should be removed")
+	if s.M() != 0 {
+		t.Fatalf("M = %d, want 0", s.M())
 	}
-	if b.M() != 1 {
-		t.Fatalf("M = %d, want 1", b.M())
+	g := s.Build()
+	if g.N() != 3 || g.M() != 0 {
+		t.Fatalf("Build: n=%d m=%d, want n=3 m=0", g.N(), g.M())
 	}
-	b.RemoveEdge(0, 2) // absent: no-op
-	if b.M() != 1 {
-		t.Fatalf("M after removing absent edge = %d, want 1", b.M())
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -123,40 +157,6 @@ func TestCanon(t *testing.T) {
 	}
 }
 
-func TestDensity(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if d := g.Density(); d != 1 {
-		t.Fatalf("K4 density = %g, want 1", d)
-	}
-	if New(1).Density() != 0 {
-		t.Fatal("single-node density should be 0")
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}})
-	c := g.Clone()
-	if c.N() != g.N() || c.M() != g.M() || !c.HasEdge(0, 1) {
-		t.Fatal("clone mismatch")
-	}
-	// mutating the clone's neighbor arena must not affect the original
-	c.nbr[0] = 2
-	if !g.HasEdge(0, 1) {
-		t.Fatal("clone shares memory with original")
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
-	sub := g.Subgraph([]int32{1, 2, 3})
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("subgraph n=%d m=%d, want 3, 2", sub.N(), sub.M())
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Fatal("subgraph edges wrong")
-	}
-}
-
 func TestComponents(t *testing.T) {
 	g := FromEdges(6, []Edge{{0, 1}, {1, 2}, {3, 4}})
 	comps := g.Components()
@@ -182,9 +182,9 @@ func TestQuickBuildInvariants(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		n := int(rawN%50) + 2
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder(n)
+		b := NewEdgeSet(n, 0)
 		for i := 0; i < 3*n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+			b.Add(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
 		g := b.Build()
 		if g.Validate() != nil {
@@ -201,8 +201,8 @@ func TestQuickBuildInvariants(t *testing.T) {
 	}
 }
 
-// property: the direct-CSR FromEdges path is equivalent to Builder
-// construction (the pre-CSR reference semantics) for any edge-list
+// property: the direct-CSR FromEdges path is equivalent to the naive
+// refBuilder construction for any edge-list
 // permutation and orientation: identical Neighbors, HasEdge, Edges,
 // and Fingerprint.
 func TestQuickFromEdgesPermutationInvariant(t *testing.T) {
@@ -217,11 +217,11 @@ func TestQuickFromEdgesPermutationInvariant(t *testing.T) {
 			v := int32(rng.Intn(n+2) - 1)
 			edges = append(edges, Edge{U: u, V: v})
 		}
-		b := NewBuilder(n)
+		b := newRefBuilder(n)
 		for _, e := range edges {
-			_ = b.AddEdge(e.U, e.V)
+			b.add(e.U, e.V)
 		}
-		ref := b.Build()
+		ref := b.build()
 
 		perm := append([]Edge(nil), edges...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -319,9 +319,9 @@ func TestQuickHasEdgeConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20
-		b := NewBuilder(n)
+		b := NewEdgeSet(n, 0)
 		for i := 0; i < 30; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+			b.Add(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
 		g := b.Build()
 		set := map[Edge]bool{}
@@ -342,7 +342,7 @@ func TestQuickHasEdgeConsistency(t *testing.T) {
 	}
 }
 
-// property: EdgeSet matches Builder step for step — same Has answers
+// property: EdgeSet matches refBuilder step for step — same Has answers
 // mid-construction (the generator control-flow contract), same M, and an
 // identical built graph — for arbitrary candidate streams with
 // self-loops, duplicates, and out-of-range endpoints.
@@ -350,24 +350,24 @@ func TestQuickEdgeSetMatchesBuilder(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(rawN%40) + 2
-		b := NewBuilder(n)
+		b := newRefBuilder(n)
 		s := NewEdgeSet(n, 0)
 		for i := 0; i < 6*n; i++ {
 			u := int32(rng.Intn(n+2) - 1)
 			v := int32(rng.Intn(n+2) - 1)
-			if b.HasEdge(u, v) != s.Has(u, v) {
+			if b.has(u, v) != s.Has(u, v) {
 				return false
 			}
-			wasNew := !b.HasEdge(u, v) && u != v && u >= 0 && v >= 0 && int(u) < n && int(v) < n
-			_ = b.AddEdge(u, v)
+			wasNew := !b.has(u, v) && u != v && u >= 0 && v >= 0 && int(u) < n && int(v) < n
+			b.add(u, v)
 			if s.Add(u, v) != wasNew {
 				return false
 			}
-			if b.HasEdge(u, v) != s.Has(u, v) || b.M() != s.M() {
+			if b.has(u, v) != s.Has(u, v) || len(b.pairs) != s.M() {
 				return false
 			}
 		}
-		return s.Build().Fingerprint() == b.Build().Fingerprint()
+		return s.Build().Fingerprint() == b.build().Fingerprint()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

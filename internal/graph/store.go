@@ -311,18 +311,6 @@ func (s *SnapshotStore) FingerprintOf(ref Ref) (uint64, bool) {
 	return fp, ok
 }
 
-// Refs returns the keys of every indexed reference, unordered — the
-// inventory `pgb ingest -list` prints.
-func (s *SnapshotStore) Refs() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.index))
-	for k, fp := range s.index {
-		out[k] = fp
-	}
-	return out
-}
-
 // Close releases every open snapshot mapping. Graphs previously
 // returned by Open must not be used afterwards.
 func (s *SnapshotStore) Close() error {

@@ -398,7 +398,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// deterministic passes at GOMAXPROCS; the result is bit-identical to
 	// the serial path (DESIGN.md §10), so the response — fingerprint
 	// included — never depends on the schedule.
-	syn, err := algo.GenerateWith(alg, g, req.Eps, newSeededRNG(req.Seed), algo.Params{})
+	syn, err := alg.Generate(g, req.Eps, newSeededRNG(req.Seed), algo.Params{})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "generation_failed", "%v", err)
 		return

@@ -257,16 +257,16 @@ func TestEigenvectorCentralityEmpty(t *testing.T) {
 // heavy-tail structure so parallel shards are non-trivial.
 func randomGraph(seed int64, n int) *graph.Graph {
 	r := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
+	b := graph.NewEdgeSet(n, 0)
 	for i := 0; i < 4*n; i++ {
-		_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+		b.Add(int32(r.Intn(n)), int32(r.Intn(n)))
 	}
 	// plant some triangles so the triangle kernel has real work
 	for i := 0; i < n/2; i++ {
 		u, v, w := int32(r.Intn(n)), int32(r.Intn(n)), int32(r.Intn(n))
-		_ = b.AddEdge(u, v)
-		_ = b.AddEdge(v, w)
-		_ = b.AddEdge(u, w)
+		b.Add(u, v)
+		b.Add(v, w)
+		b.Add(u, w)
 	}
 	return b.Build()
 }
@@ -345,9 +345,9 @@ func TestQuickClusteringBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(30)
-		b := graph.NewBuilder(n)
+		b := graph.NewEdgeSet(n, 0)
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			b.Add(int32(r.Intn(n)), int32(r.Intn(n)))
 		}
 		g := b.Build()
 		c, a := gcc(g), acc(g)
@@ -364,9 +364,9 @@ func TestQuickTrianglesAgainstNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 4 + r.Intn(12)
-		b := graph.NewBuilder(n)
+		b := graph.NewEdgeSet(n, 0)
 		for i := 0; i < 3*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			b.Add(int32(r.Intn(n)), int32(r.Intn(n)))
 		}
 		g := b.Build()
 		naive := 0.0
@@ -391,9 +391,9 @@ func TestQuickAssortativityBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(25)
-		b := graph.NewBuilder(n)
+		b := graph.NewEdgeSet(n, 0)
 		for i := 0; i < 2*n; i++ {
-			_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+			b.Add(int32(r.Intn(n)), int32(r.Intn(n)))
 		}
 		g := b.Build()
 		a := Assortativity(g)

@@ -46,6 +46,7 @@ package pgb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -177,11 +178,11 @@ func Generate(algorithm string, g *Graph, eps float64, seed int64) (*Graph, erro
 	if g == nil {
 		return nil, fmt.Errorf("pgb: Generate needs a non-nil input graph")
 	}
-	if eps <= 0 {
-		return nil, fmt.Errorf("pgb: privacy budget must be positive, got %g", eps)
+	if !(eps > 0) || math.IsInf(eps, 1) {
+		return nil, fmt.Errorf("pgb: privacy budget must be positive and finite, got %g", eps)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	return algo.GenerateWith(alg, g, eps, rng, algo.Params{})
+	return alg.Generate(g, eps, rng, algo.Params{})
 }
 
 // QueryReport holds the utility comparison of a synthetic graph against
