@@ -62,64 +62,3 @@ func cmdAblation(args []string) error {
 	fmt.Print(out)
 	return nil
 }
-
-// cmdLDP compares the Edge-LDP extension mechanisms against the
-// centralised DGG baseline — the Remark-4 extension of the benchmark.
-// Local mechanisms answer a strictly weaker trust model, so their errors
-// should dominate DGG's at every ε; the printed series makes the gap
-// concrete.
-func cmdLDP(args []string) error {
-	fs := flag.NewFlagSet("ldp", flag.ExitOnError)
-	dsName := fs.String("dataset", "Facebook", "dataset name")
-	scale := fs.Float64("scale", 0.1, "dataset size factor")
-	reps := fs.Int("reps", 3, "repetitions")
-	seed := fs.Int64("seed", 42, "random seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec, err := datasets.ByName(*dsName)
-	if err != nil {
-		return err
-	}
-	g := spec.Load(*scale, *seed)
-	queries := []core.QueryID{core.QNumEdges, core.QDegreeDistribution, core.QAvgClustering, core.QCommunityDetection}
-	truth := core.ComputeProfileCached(g, core.ProfileOptions{Queries: queries}, *seed+1)
-	algs := []string{"DGG", "LDPGen", "RNL"}
-	fmt.Printf("Edge-LDP extension on %s (n=%d, m=%d); DGG is the Edge-CDP reference\n", *dsName, g.N(), g.M())
-	for _, q := range queries {
-		fmt.Printf("\n[%s (%s)]\n%-10s", q.String(), q.Metric(), "eps:")
-		for _, e := range core.Epsilons() {
-			fmt.Printf(" %9g", e)
-		}
-		fmt.Println()
-		for _, name := range algs {
-			alg, err := core.NewAlgorithm(name)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-10s", name)
-			for _, e := range core.Epsilons() {
-				sum, n := 0.0, 0
-				for rep := 0; rep < *reps; rep++ {
-					genSeed := *seed + int64(rep)*71 + int64(e*1000)
-					r := rand.New(rand.NewSource(genSeed))
-					syn, err := alg.Generate(g, e, r, algo.Params{})
-					if err != nil {
-						continue
-					}
-					prof := core.ComputeProfileSeeded(syn, core.ProfileOptions{Queries: queries}, core.SubSeed(genSeed, 1))
-					v, _ := core.Score(q, truth, prof)
-					sum += v
-					n++
-				}
-				if n == 0 {
-					fmt.Printf(" %9s", "-")
-				} else {
-					fmt.Printf(" %9.4f", sum/float64(n))
-				}
-			}
-			fmt.Println()
-		}
-	}
-	return nil
-}

@@ -9,6 +9,7 @@
 //	pgb complexity                   Table VIII (theoretical complexity)
 //	pgb fig2     [flags]             Fig. 2    (error vs ε series)
 //	pgb fig7     [flags]             Fig. 7    (DER comparison)
+//	pgb ldp      [flags]             Remark-4 Edge-LDP extension
 //	pgb verify   -alg {dpdk,tmf,privskg}   appendix verification
 //	pgb generate -alg A -dataset D -eps E  one synthetic graph to stdout
 //	pgb ingest   -snapshot DIR             persist datasets as CSR snapshots
@@ -23,6 +24,8 @@
 // an interrupted checkpointed run), -snapshot DIR (resolve datasets
 // through an ingested snapshot store), -v (progress to stderr). Flags
 // shared verbatim between subcommands are defined once in flags.go.
+// fig7 and ldp are grid commands too: their paper axes (seriesAxes)
+// fill whichever of -algs, -datasets and -queries are unset.
 package main
 
 import (
@@ -50,14 +53,12 @@ func main() {
 	switch cmd {
 	case "datasets":
 		err = cmdDatasets(args)
-	case "table7", "table12", "time", "memory", "fig2", "all", "html", "csv", "stability", "types":
+	case "table7", "table12", "time", "memory", "fig2", "fig7", "ldp", "all", "html", "csv", "stability", "types":
 		err = cmdGrid(cmd, args)
 	case "recommend":
 		err = cmdRecommend(args)
 	case "complexity":
 		fmt.Print(core.FormatTable8())
-	case "fig7":
-		err = cmdFig7(args)
 	case "verify":
 		err = cmdVerify(args)
 	case "generate":
@@ -68,8 +69,6 @@ func main() {
 		err = cmdReport(args)
 	case "ablation":
 		err = cmdAblation(args)
-	case "ldp":
-		err = cmdLDP(args)
 	case "serve":
 		err = cmdServe(args)
 	case "fidelity":
@@ -100,7 +99,8 @@ commands:
   memory      print Table X (memory consumption; runs single-threaded)
   complexity  print Table VIII (theoretical complexity)
   fig2        print the Fig. 2 error-vs-epsilon series
-  fig7        print the Fig. 7 DER comparison
+  fig7        print the Fig. 7 DER comparison (default axes: TmF,PrivGraph,DER
+              x Facebook,Wiki x ACC,Diam)
   verify      print appendix verification (-alg dpdk|tmf|privskg)
   generate    run one algorithm once and print the synthetic graph
               (-format edgelist|csv|dot)
@@ -108,7 +108,8 @@ commands:
   ablation    run a design-choice ablation (-name tmf-filter|dpdk-sensitivity|
               dpdk-order|dgg-construction|privgraph-split|privhrg-mcmc)
   ldp         compare the Edge-LDP extension mechanisms (LDPGen, RNL) with
-              the centralised DGG on one dataset
+              the centralised DGG (default axes: DGG,LDPGen,RNL x Facebook
+              x |E|,DegDist,ACC,CD)
   html        one grid run rendered as a standalone HTML results page
   csv         one grid run exported as CSV (per-query mean and stddev)
   stability   per-algorithm repeatability (coefficient of variation)
@@ -129,11 +130,13 @@ commands:
               cmd/fidelitygate against FIDELITY_BASELINE.json
   version     print the build identification (also GET /version)
 
-grid commands accept -jobs N (parallel cells), -checkpoint FILE
-(durable JSONL run manifest; rerun with the same path to resume),
--resume FILE (continue an interrupted run, restoring its configuration)
-and -snapshot DIR (resolve datasets through a store written by pgb
-ingest; results are identical either way).`)
+grid commands (table7, table12, time, memory, fig2, fig7, ldp, html,
+csv, stability, types) accept -scale, -reps, -seed, -eps, -algs,
+-datasets, -queries, -distance, -v, -jobs N (parallel cells),
+-checkpoint FILE (durable JSONL run manifest; rerun with the same path
+to resume), -resume FILE (continue an interrupted run, restoring its
+configuration) and -snapshot DIR (resolve datasets through a store
+written by pgb ingest; results are identical either way).`)
 }
 
 type gridFlags struct {
@@ -250,7 +253,7 @@ func (g *gridFlags) config() (core.Config, error) {
 		if err != nil {
 			return cfg, err
 		}
-		cfg.DistanceMode = mode
+		cfg.Profile.DistanceMode = mode
 	}
 	if *g.verbose {
 		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
@@ -285,6 +288,16 @@ func cmdDatasets(args []string) error {
 	return nil
 }
 
+// seriesAxes holds the paper axes of the appendix series commands; each
+// fills whichever of -algs, -datasets and -queries the caller left unset.
+var seriesAxes = map[string]struct {
+	algs, datasets []string
+	queries        []core.QueryID
+}{
+	"fig7": {[]string{"TmF", "PrivGraph", "DER"}, []string{"Facebook", "Wiki"}, []core.QueryID{core.QAvgClustering, core.QDiameter}},
+	"ldp":  {[]string{"DGG", "LDPGen", "RNL"}, []string{"Facebook"}, []core.QueryID{core.QNumEdges, core.QDegreeDistribution, core.QAvgClustering, core.QCommunityDetection}},
+}
+
 func cmdGrid(which string, args []string) error {
 	gf := newGridFlags(which)
 	if err := gf.fs.Parse(args); err != nil {
@@ -295,6 +308,17 @@ func cmdGrid(which string, args []string) error {
 		return err
 	}
 	defer gf.close()
+	if ax, ok := seriesAxes[which]; ok {
+		if len(cfg.Algorithms) == 0 {
+			cfg.Algorithms = ax.algs
+		}
+		if len(cfg.Datasets) == 0 {
+			cfg.Datasets = ax.datasets
+		}
+		if len(cfg.Queries) == 0 {
+			cfg.Queries = ax.queries
+		}
+	}
 	if which == "memory" {
 		// Allocation measurement needs isolation: GenBytes deltas taken
 		// while other cells run in the same process are inflated. A
@@ -321,6 +345,10 @@ func cmdGrid(which string, args []string) error {
 		fmt.Print(res.FormatTable10())
 	case "fig2":
 		fmt.Print(res.FormatFig2())
+	case "fig7":
+		fmt.Print(res.FormatFig7())
+	case "ldp":
+		fmt.Print(res.FormatLDP())
 	case "all":
 		// one grid run, every artifact it supports (memory excluded: the
 		// allocation measurement needs a dedicated single-threaded run)
@@ -339,19 +367,6 @@ func cmdGrid(which string, args []string) error {
 	case "types":
 		fmt.Print(res.FormatTypeAnalysis())
 	}
-	return nil
-}
-
-func cmdFig7(args []string) error {
-	gf := newGridFlags("fig7")
-	if err := gf.fs.Parse(args); err != nil {
-		return err
-	}
-	out, err := core.Fig7(*gf.scale, *gf.reps, *gf.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
 	return nil
 }
 

@@ -45,6 +45,28 @@ func TestGridFlagsConfig(t *testing.T) {
 	}
 }
 
+// -distance sets the profile's distance mode; an unknown mode is an error.
+func TestGridFlagsDistance(t *testing.T) {
+	gf := newGridFlags("test")
+	if err := gf.fs.Parse([]string{"-distance", "anf"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := gf.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Profile.DistanceMode != core.DistanceANF {
+		t.Fatalf("distance mode = %q, want anf", cfg.Profile.DistanceMode)
+	}
+	gf = newGridFlags("test")
+	if err := gf.fs.Parse([]string{"-distance", "bogus"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gf.config(); err == nil {
+		t.Fatal("unknown -distance accepted")
+	}
+}
+
 func TestGridFlagsBadEps(t *testing.T) {
 	gf := newGridFlags("test")
 	if err := gf.fs.Parse([]string{"-eps", "abc"}); err != nil {
@@ -125,5 +147,46 @@ func TestCmdGenerateUnknownFormat(t *testing.T) {
 	err := cmdGenerate([]string{"-format", "xml", "-dataset", "nope"})
 	if err == nil || !strings.Contains(err.Error(), "-format") {
 		t.Fatalf("expected -format error, got %v", err)
+	}
+}
+
+// fig2 prints only the queries the run evaluated.
+func TestCmdFig2QueriesSubset(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return cmdGrid("fig2", []string{"-algs", "TmF", "-datasets", "ER", "-eps", "1", "-reps", "1", "-scale", "0.02", "-queries", "Diam"})
+	})
+	if n := strings.Count(out, "\n["); n != 1 || !strings.Contains(out, "[Diam (RE) on ER]") {
+		t.Fatalf("fig2 -queries Diam printed %d sections, want 1:\n%s", n, out)
+	}
+}
+
+// fig7 and ldp are grid commands: their paper axes fill the unset grid
+// flags, they print what core.Run computes on that configuration, and
+// the bytes do not depend on -jobs.
+func TestCmdSeriesCommandsMatchGrid(t *testing.T) {
+	for _, tc := range []struct {
+		cmd    string
+		format func(*core.Results) string
+	}{
+		{"fig7", (*core.Results).FormatFig7},
+		{"ldp", (*core.Results).FormatLDP},
+	} {
+		args := []string{"-eps", "0.5,5", "-reps", "1", "-scale", "0.02", "-seed", "7"}
+		serial := captureStdout(t, func() error { return cmdGrid(tc.cmd, append(args, "-jobs", "1")) })
+		parallel := captureStdout(t, func() error { return cmdGrid(tc.cmd, append(args, "-jobs", "2")) })
+		if serial != parallel {
+			t.Fatalf("%s: -jobs 1 and -jobs 2 differ:\n%s\nvs\n%s", tc.cmd, serial, parallel)
+		}
+		ax := seriesAxes[tc.cmd]
+		res, err := core.Run(core.Config{
+			Algorithms: ax.algs, Datasets: ax.datasets, Queries: ax.queries,
+			Epsilons: []float64{0.5, 5}, Reps: 1, Scale: 0.02, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.format(res); serial != want {
+			t.Fatalf("%s printed\n%s\nwant (core.Run on its axes)\n%s", tc.cmd, serial, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -13,6 +12,7 @@ import (
 	"pgb/internal/algo/privhrg"
 	"pgb/internal/algo/tmf"
 	"pgb/internal/datasets"
+	"pgb/internal/par"
 )
 
 // AblationVariant is one configuration of an algorithm under ablation.
@@ -65,7 +65,9 @@ func Ablations() map[string][]AblationVariant {
 var ablationQueries = []QueryID{QNumEdges, QTriangles, QDegreeDistribution, QAvgClustering, QCommunityDetection}
 
 // RunAblation executes one named ablation on one dataset across the ε
-// grid and renders the per-variant error series.
+// grid and renders the per-variant error series. Each (variant, ε)
+// cell runs through runCell, seeded like a grid cell whose algorithm is
+// the variant label.
 func RunAblation(name, dataset string, scale float64, reps int, seed int64) (string, error) {
 	variants, ok := Ablations()[name]
 	if !ok {
@@ -80,41 +82,20 @@ func RunAblation(name, dataset string, scale float64, reps int, seed int64) (str
 	if err != nil {
 		return "", err
 	}
-	g := spec.Load(scale, seed)
-	truth := ComputeProfileCached(g, ProfileOptions{Queries: ablationQueries}, seed+1)
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ablation %s on %s (n=%d, m=%d)\n", name, dataset, g.N(), g.M())
-	for _, q := range ablationQueries {
-		fmt.Fprintf(&sb, "\n[%s (%s)]\n%-16s", q.String(), q.Metric(), "eps:")
-		for _, e := range Epsilons() {
-			fmt.Fprintf(&sb, " %9g", e)
-		}
-		sb.WriteByte('\n')
-		for _, v := range variants {
-			fmt.Fprintf(&sb, "%-16s", v.Label)
-			for _, e := range Epsilons() {
-				sum, n := 0.0, 0
-				for rep := 0; rep < reps; rep++ {
-					genSeed := seed + int64(rep)*101 + int64(e*1000)
-					r := rand.New(rand.NewSource(genSeed))
-					syn, err := v.Generator.Generate(g, e, r, algo.Params{})
-					if err != nil {
-						continue
-					}
-					prof := ComputeProfileSeeded(syn, ProfileOptions{Queries: ablationQueries}, SubSeed(genSeed, 1))
-					val, _ := Score(q, truth, prof)
-					sum += val
-					n++
-				}
-				if n == 0 {
-					fmt.Fprintf(&sb, " %9s", "-")
-				} else {
-					fmt.Fprintf(&sb, " %9.4f", sum/float64(n))
-				}
-			}
-			sb.WriteByte('\n')
+	labels := make([]string, len(variants))
+	for i, v := range variants {
+		labels[i] = v.Label
+	}
+	cfg := Config{Algorithms: labels, Datasets: []string{spec.Name}, Queries: ablationQueries, Reps: reps, Scale: scale, Seed: seed}.withDefaults()
+	cfg.budget = par.NewBudget(cfg.Workers - 1)
+	g := spec.Load(cfg.Scale, cfg.Seed)
+	truth := ComputeProfileCached(g, cfg.profileOptions(), cfg.Seed+1)
+	res := &Results{Config: cfg}
+	for _, v := range variants {
+		for _, eps := range cfg.Epsilons {
+			res.Cells = append(res.Cells, runCell(cfg, v.Generator, v.Label, spec.Name, g, truth, eps))
 		}
 	}
-	return sb.String(), nil
+	title := fmt.Sprintf("Ablation %s on %s (n=%d, m=%d)", name, spec.Name, g.N(), g.M())
+	return res.formatSeries(title, ablationQueries, cfg.Datasets), nil
 }

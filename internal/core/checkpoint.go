@@ -82,7 +82,7 @@ func headerFor(cfg Config) manifestHeader {
 		PathSamples:    popt.PathSamples,
 		EVCIterations:  popt.EVCIterations,
 		ExactDiameter:  popt.ExactDiameter,
-		DistanceMode:   string(cfg.profileOptions().DistanceMode),
+		DistanceMode:   string(cfg.Profile.DistanceMode),
 	}
 	h.Digest = h.digest()
 	return h

@@ -247,6 +247,44 @@ func TestCheckpointRejectsForeignConfig(t *testing.T) {
 	}
 }
 
+// A run checkpointed under one distance mode refuses to resume under
+// another; the mode joins the digest only when set, with the digest
+// bytes manifests have always carried.
+func TestCheckpointRejectsOtherDistanceMode(t *testing.T) {
+	for _, tc := range []struct {
+		mode   DistanceMode
+		digest string
+	}{
+		{DistanceAuto, "327f51b42e1526b1"},
+		{DistanceExact, "9db08f8120767caf"},
+		{DistanceANF, "fbbea78b437f0307"},
+	} {
+		c := checkpointConfig("")
+		c.Profile.DistanceMode = tc.mode
+		if got := headerFor(c.withDefaults()).Digest; got != tc.digest {
+			t.Errorf("digest under mode %q = %s, want %s", tc.mode, got, tc.digest)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	exact := checkpointConfig(path)
+	exact.Profile.DistanceMode = DistanceExact
+	if _, err := Run(exact); err != nil {
+		t.Fatal(err)
+	}
+	anf := checkpointConfig(path)
+	anf.Profile.DistanceMode = DistanceANF
+	if _, err := Run(anf); err == nil || !strings.Contains(err.Error(), "different run configuration") {
+		t.Fatalf("resume under another distance mode accepted, err = %v", err)
+	}
+	cfg, err := CheckpointConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Profile.DistanceMode != DistanceExact {
+		t.Fatalf("manifest restored distance mode %q, want %q", cfg.Profile.DistanceMode, DistanceExact)
+	}
+}
+
 func TestCheckpointRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "not-a-manifest")

@@ -245,16 +245,6 @@ func TestVerifyDPdK(t *testing.T) {
 	}
 }
 
-func TestVerifyTmF(t *testing.T) {
-	out, err := VerifyTmF(0.02, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "DegDist") || !strings.Contains(out, "CD") {
-		t.Fatalf("TmF verification output:\n%s", out)
-	}
-}
-
 func TestVerifyPrivSKG(t *testing.T) {
 	out, err := VerifyPrivSKG(0.05, 3)
 	if err != nil {
@@ -262,16 +252,6 @@ func TestVerifyPrivSKG(t *testing.T) {
 	}
 	if !strings.Contains(out, "degree") || !strings.Contains(out, "generated") {
 		t.Fatalf("PrivSKG verification output:\n%s", out)
-	}
-}
-
-func TestFig7(t *testing.T) {
-	out, err := Fig7(0.02, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "DER") || !strings.Contains(out, "PrivGraph") {
-		t.Fatalf("fig7 output:\n%s", out)
 	}
 }
 

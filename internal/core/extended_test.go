@@ -56,18 +56,6 @@ func TestRunAblationUnknown(t *testing.T) {
 	}
 }
 
-func TestRunAblationSmall(t *testing.T) {
-	out, err := RunAblation("dgg-construction", "BA", 0.02, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bter", "chunglu", "|E|", "CD"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ablation output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestAblationsRegistryComplete(t *testing.T) {
 	abl := Ablations()
 	for _, name := range []string{"tmf-filter", "dpdk-sensitivity", "dpdk-order", "dgg-construction", "privgraph-split", "privhrg-mcmc"} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -149,7 +150,7 @@ func buildHTMLData(r *Results) htmlData {
 	// Fig. 2 series as tables
 	for _, q := range Fig2Queries() {
 		for _, ds := range Fig2Datasets() {
-			if !contains(r.Config.Datasets, ds) {
+			if !slices.Contains(r.Config.Datasets, ds) {
 				continue
 			}
 			ft := htmlTable{

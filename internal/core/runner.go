@@ -43,12 +43,9 @@ type Config struct {
 	// invariant (DESIGN.md §2). Only the measurement fields (GenSeconds,
 	// GenBytes) vary, as they observe the shared process.
 	Workers int
-	// DistanceMode selects the Q7–Q9 estimator for every cell profile
-	// (auto/exact/sampled/anf); it is a convenience alias for
-	// Profile.DistanceMode, which wins when both are set. See
-	// ParseDistanceMode for validation of user input.
-	DistanceMode DistanceMode
-	Profile      ProfileOptions
+	// Profile tunes every cell profile; Profile.DistanceMode selects the
+	// Q7–Q9 estimator (see ParseDistanceMode for validating user input).
+	Profile ProfileOptions
 	// CheckpointPath, when non-empty, streams every finished cell to a
 	// JSONL run manifest at that path (DESIGN.md §5). If the file already
 	// exists and was written by the same configuration, the run resumes:
@@ -131,9 +128,6 @@ func (c Config) Normalized() Config { return c.withDefaults() }
 func (c Config) profileOptions() ProfileOptions {
 	opt := c.Profile
 	opt.Queries = c.Queries
-	if opt.DistanceMode == DistanceAuto {
-		opt.DistanceMode = c.DistanceMode
-	}
 	if opt.Workers == 0 {
 		opt.Workers = c.Workers
 	}
@@ -327,8 +321,9 @@ func Run(cfg Config) (*Results, error) {
 	return &Results{Config: cfg, Cells: results, DatasetSummaries: summaries}, nil
 }
 
-// runCell generates Reps synthetic graphs and averages the query errors.
-func runCell(cfg Config, algName, dsName string, g *graph.Graph, truth *Profile, eps float64) CellResult {
+// runCell runs generator Reps times on g and averages the query errors.
+// algName labels the cell and, with the dataset and ε, derives its seed.
+func runCell(cfg Config, generator algo.Generator, algName, dsName string, g *graph.Graph, truth *Profile, eps float64) CellResult {
 	nq := len(cfg.Queries)
 	res := CellResult{
 		Algorithm: algName,
@@ -337,11 +332,6 @@ func runCell(cfg Config, algName, dsName string, g *graph.Graph, truth *Profile,
 		Queries:   append([]QueryID(nil), cfg.Queries...),
 		Errors:    make([]float64, nq),
 		StdDev:    make([]float64, nq),
-	}
-	generator, err := NewAlgorithm(algName)
-	if err != nil {
-		res.Err = err
-		return res
 	}
 	popt := cfg.profileOptions()
 	seed := cfg.Seed ^ hashCell(algName, dsName, eps)

@@ -100,7 +100,12 @@ func runGrid(cfg Config, cells []gridCell, dss map[string]*datasetEntry, done ma
 
 	run := func(c gridCell) {
 		entry := dss[c.Dataset]
-		res := runCell(cfg, c.Algorithm, entry.name, entry.g, entry.profile, c.Epsilon)
+		res := CellResult{Algorithm: c.Algorithm, Dataset: entry.name, Epsilon: c.Epsilon}
+		if generator, err := NewAlgorithm(c.Algorithm); err != nil {
+			res.Err = err
+		} else {
+			res = runCell(cfg, generator, c.Algorithm, entry.name, entry.g, entry.profile, c.Epsilon)
+		}
 		results[c.Index] = res
 		if onDone != nil {
 			onDone(c, res)

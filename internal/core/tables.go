@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -267,23 +268,53 @@ func Fig2Datasets() []string { return []string{"Facebook", "HepPh", "Gnutella", 
 // FormatFig2 renders the Fig. 2 error-vs-ε series: one block per
 // (query, dataset), one line per algorithm.
 func (r *Results) FormatFig2() string {
+	return r.formatSeries("Fig. 2 — error vs privacy budget", Fig2Queries(), Fig2Datasets())
+}
+
+// FormatFig7 renders the appendix Fig. 7 DER comparison (`pgb fig7`)
+// over the run's own queries and datasets.
+func (r *Results) FormatFig7() string {
+	return r.formatSeries("Fig. 7 — DER vs TmF vs PrivGraph", r.Queries(), r.Config.Datasets)
+}
+
+// FormatLDP renders the Remark-4 Edge-LDP extension (`pgb ldp`) over
+// the run's own queries and datasets. Local mechanisms answer a
+// strictly weaker trust model, so their errors should dominate the
+// centralised DGG reference at every ε.
+func (r *Results) FormatLDP() string {
+	return r.formatSeries("Edge-LDP extension; DGG is the Edge-CDP reference", r.Queries(), r.Config.Datasets)
+}
+
+// formatSeries renders error-vs-ε series under title: one section per
+// (query, dataset), one row per algorithm, one column per ε in
+// ascending order. Queries the run did not evaluate and datasets it did
+// not include are skipped; a failed or missing cell prints "-". The
+// label column is wide enough for the longest algorithm label.
+func (r *Results) formatSeries(title string, queries []QueryID, datasets []string) string {
 	idx := r.index()
+	width := 10
+	for _, alg := range r.Config.Algorithms {
+		width = max(width, len(alg)+1)
+	}
 	var sb strings.Builder
-	sb.WriteString("Fig. 2 — error vs privacy budget\n")
+	sb.WriteString(title + "\n")
 	eps := append([]float64(nil), r.Config.Epsilons...)
 	sort.Float64s(eps)
-	for _, q := range Fig2Queries() {
-		for _, ds := range Fig2Datasets() {
-			if !contains(r.Config.Datasets, ds) {
+	for _, q := range queries {
+		if !slices.Contains(r.Queries(), q) {
+			continue
+		}
+		for _, ds := range datasets {
+			if !slices.Contains(r.Config.Datasets, ds) {
 				continue
 			}
-			fmt.Fprintf(&sb, "\n[%s (%s) on %s]\n%-10s", q.String(), q.Metric(), ds, "eps:")
+			fmt.Fprintf(&sb, "\n[%s (%s) on %s]\n%-*s", q.String(), q.Metric(), ds, width, "eps:")
 			for _, e := range eps {
 				fmt.Fprintf(&sb, " %9g", e)
 			}
 			sb.WriteByte('\n')
 			for _, alg := range r.Config.Algorithms {
-				fmt.Fprintf(&sb, "%-10s", alg)
+				fmt.Fprintf(&sb, "%-*s", width, alg)
 				for _, e := range eps {
 					c, ok := idx[cellKeyOf(alg, ds, e)]
 					if !ok || c.Err != nil {
@@ -302,13 +333,4 @@ func (r *Results) FormatFig2() string {
 		}
 	}
 	return sb.String()
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -12,14 +12,12 @@ import (
 // II taxonomy — social, web, academic, traffic, financial, technology,
 // synthetic), showing which mechanism suits which domain.
 func (r *Results) FormatTypeAnalysis() string {
-	// dataset → type, restricted to datasets in this run
+	// dataset → type, restricted to datasets in this run (Run rejects
+	// unknown dataset names, so every lookup succeeds)
 	typeOf := map[string]string{}
 	for _, ds := range r.Config.Datasets {
-		if spec, err := datasets.ByName(ds); err == nil {
-			typeOf[ds] = spec.Type
-		} else {
-			typeOf[ds] = "File"
-		}
+		spec, _ := datasets.ByName(ds)
+		typeOf[ds] = spec.Type
 	}
 	var types []string
 	seen := map[string]bool{}

@@ -94,11 +94,20 @@ func verificationRow(g *graph.Graph, seed int64, cache bool) map[string]float64 
 
 // VerifyTmF reproduces Figs. 3 and 4: TmF on (simulated) Facebook across
 // the ε grid, reporting KL divergence of the degree distribution and NMI
-// of community detection.
+// of community detection. It is one grid run, seeded like every cell.
 func VerifyTmF(scale float64, reps int, seed int64) (string, error) {
-	return verifySeries("TmF", datasets.Facebook(), scale, reps, seed,
-		"Fig. 3/4 — TmF verification on (simulated) Facebook",
-		[]QueryID{QDegreeDistribution, QCommunityDetection})
+	res, err := Run(Config{
+		Algorithms: []string{"TmF"},
+		Datasets:   []string{datasets.Facebook().Name},
+		Queries:    []QueryID{QDegreeDistribution, QCommunityDetection},
+		Reps:       reps,
+		Scale:      scale,
+		Seed:       seed,
+	})
+	if err != nil {
+		return "", err
+	}
+	return res.formatSeries("Fig. 3/4 — TmF verification on (simulated) Facebook", res.Queries(), res.Config.Datasets), nil
 }
 
 // VerifyPrivSKG reproduces Figs. 5 and 6: PrivSKG on (simulated) CA-GrQC,
@@ -229,93 +238,4 @@ func maxLen(a, b []int) int {
 		return len(a)
 	}
 	return len(b)
-}
-
-// verifySeries runs one algorithm over the ε grid on one dataset and
-// prints the error series for the given queries.
-func verifySeries(algName string, spec datasets.Spec, scale float64, reps int, seed int64, title string, queries []QueryID) (string, error) {
-	g := spec.Load(scale, seed)
-	truth := ComputeProfileCached(g, ProfileOptions{Queries: queries}, seed+1)
-	alg, err := NewAlgorithm(algName)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	fmt.Fprintf(&sb, "%-18s", "eps:")
-	for _, e := range Epsilons() {
-		fmt.Fprintf(&sb, " %9g", e)
-	}
-	sb.WriteByte('\n')
-	for _, q := range queries {
-		fmt.Fprintf(&sb, "%-18s", fmt.Sprintf("%s (%s)", q.String(), q.Metric()))
-		for _, e := range Epsilons() {
-			sum := 0.0
-			for rep := 0; rep < reps; rep++ {
-				genSeed := seed + int64(rep)*31 + int64(e*100)
-				r2 := rand.New(rand.NewSource(genSeed))
-				syn, err := alg.Generate(g, e, r2, algo.Params{})
-				if err != nil {
-					return "", err
-				}
-				prof := ComputeProfileSeeded(syn, ProfileOptions{Queries: queries}, SubSeed(genSeed, 1))
-				v, _ := Score(q, truth, prof)
-				sum += v
-			}
-			fmt.Fprintf(&sb, " %9.4f", sum/float64(reps))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String(), nil
-}
-
-// Fig7 reproduces the appendix DER comparison: TmF vs PrivGraph vs DER on
-// (simulated) Facebook and Wiki-Vote, reporting RE of the clustering
-// coefficient and of the diameter across the ε grid.
-func Fig7(scale float64, reps int, seed int64) (string, error) {
-	var sb strings.Builder
-	sb.WriteString("Fig. 7 — DER vs TmF vs PrivGraph\n")
-	algs := []string{"TmF", "PrivGraph", "DER"}
-	fig7Queries := []QueryID{QAvgClustering, QDiameter}
-	for _, spec := range []datasets.Spec{datasets.Facebook(), datasets.WikiVote()} {
-		g := spec.Load(scale, seed)
-		truth := ComputeProfileCached(g, ProfileOptions{Queries: fig7Queries}, seed+1)
-		for _, q := range fig7Queries {
-			fmt.Fprintf(&sb, "\n[%s (RE) on %s]\n%-10s", q.String(), spec.Name, "eps:")
-			for _, e := range Epsilons() {
-				fmt.Fprintf(&sb, " %9g", e)
-			}
-			sb.WriteByte('\n')
-			for _, algName := range algs {
-				alg, err := NewAlgorithm(algName)
-				if err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&sb, "%-10s", algName)
-				for _, e := range Epsilons() {
-					sum := 0.0
-					ok := 0
-					for rep := 0; rep < reps; rep++ {
-						genSeed := seed + int64(rep)*37 + int64(e*100)
-						r2 := rand.New(rand.NewSource(genSeed))
-						syn, err := alg.Generate(g, e, r2, algo.Params{})
-						if err != nil {
-							continue
-						}
-						prof := ComputeProfileSeeded(syn, ProfileOptions{Queries: fig7Queries}, SubSeed(genSeed, 1))
-						v, _ := Score(q, truth, prof)
-						sum += v
-						ok++
-					}
-					if ok == 0 {
-						fmt.Fprintf(&sb, " %9s", "-")
-					} else {
-						fmt.Fprintf(&sb, " %9.4f", sum/float64(ok))
-					}
-				}
-				sb.WriteByte('\n')
-			}
-		}
-	}
-	return sb.String(), nil
 }

@@ -561,13 +561,13 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := core.Config{
-		Algorithms:   req.Algorithms,
-		Datasets:     req.Datasets,
-		Epsilons:     req.Epsilons,
-		Reps:         req.Reps,
-		Scale:        req.Scale,
-		Seed:         req.Seed,
-		DistanceMode: mode,
+		Algorithms: req.Algorithms,
+		Datasets:   req.Datasets,
+		Epsilons:   req.Epsilons,
+		Reps:       req.Reps,
+		Scale:      req.Scale,
+		Seed:       req.Seed,
+		Profile:    core.ProfileOptions{DistanceMode: mode},
 	}
 	if len(req.Queries) > 0 {
 		qs, err := core.ParseQueries(req.Queries)

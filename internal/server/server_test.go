@@ -283,6 +283,8 @@ func TestStructuredErrors(t *testing.T) {
 		{"/v1/runs", `{"datasets":["NoSuchDS"]}`, "unknown_dataset"},
 		{"/v1/runs", `{"epsilons":[0]}`, "invalid_argument"},
 		{"/v1/runs", `{"scale":1.5}`, "invalid_argument"},
+		{"/v1/compare", `{"truth":{"dataset":"ER"},"synthetic":{"dataset":"ER"},"distance_mode":"bogus"}`, "invalid_argument"},
+		{"/v1/runs", `{"distance_mode":"bogus"}`, "invalid_argument"},
 	}
 	for _, tc := range cases {
 		status, e := post(tc.path, tc.body)
@@ -299,6 +301,32 @@ func TestStructuredErrors(t *testing.T) {
 
 	if code, _ := doRequest(t, http.MethodGet, ts.URL+"/v1/runs/rdeadbeef"); code != http.StatusNotFound {
 		t.Errorf("unknown run status = %d, want 404", code)
+	}
+}
+
+// The distance mode is part of a comparison's content address: the same
+// compare under anf and under exact is two cache entries.
+func TestCompareCacheKeyedByDistanceMode(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir())
+	before := s.compares.Load()
+	for _, mode := range []string{"anf", "exact", "anf"} {
+		req := map[string]any{
+			"truth":         map[string]any{"dataset": "ER", "scale": 0.05, "seed": 2001},
+			"synthetic":     map[string]any{"dataset": "BA", "scale": 0.05, "seed": 2001},
+			"seed":          9,
+			"queries":       []string{"Diam", "d_avg"},
+			"distance_mode": mode,
+		}
+		if code := postJSON(t, ts.URL+"/v1/compare", req, nil); code != http.StatusOK {
+			t.Fatalf("compare under %s: status %d", mode, code)
+		}
+	}
+	var health map[string]any
+	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
+	}
+	if got := health["compares_executed"].(float64); got != float64(before+2) {
+		t.Fatalf("compares_executed = %v after anf, exact, anf; want %d", got, before+2)
 	}
 }
 
