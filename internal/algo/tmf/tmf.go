@@ -19,6 +19,7 @@ package tmf
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"pgb/internal/algo"
@@ -107,11 +108,14 @@ func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Par
 		return t.generateNaive(g, eps1, mNoisy, rng, prm), nil
 	}
 
-	// Stage 2: high-pass filter threshold. Following the paper, θ is
-	// chosen so the expected number of passing non-edge cells matches the
-	// noisy edge budget: for a zero cell, P(Lap(1/ε1) > θ) = exp(-ε1·θ)/2.
-	// Solving (#nonEdges)·p = m̃ gives θ; θ is clamped to ≥ 1/2 so a true
-	// edge (value 1) passes with probability > 1/2.
+	// Stage 2: high-pass filter threshold. For a zero cell,
+	// P(Lap(1/ε1) > θ) = exp(-ε1·θ)/2, so θ = ln(#nonEdges/m̃)/(2ε1) makes
+	// the expected number of passing non-edge cells ½·√(#nonEdges·m̃),
+	// not m̃ — about 1.46M against m̃ ≈ 118k on HepPh — whenever the clamp
+	// below does not bind. That count, not m̃, sets TmF's cost: every
+	// passing cell is sampled, deduplicated and scored before the top-m̃
+	// cut. θ is clamped to ≥ 1/2 so a true edge (value 1) passes with
+	// probability > 1/2.
 	nonEdges := totalPairs - float64(m)
 	theta := 0.5
 	if mNoisy > 0 && nonEdges > 0 {
@@ -123,23 +127,21 @@ func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Par
 		theta = math.Inf(1)
 	}
 
-	edges := make([]graph.Edge, 0, mNoisy+m)
-	scores := make([]float64, 0, mNoisy+m)
-
 	// True edges: explicit noise 1 + Lap(1/ε1).
+	passed := make([]graph.Edge, 0, m)
+	scores := make([]float64, 0, m)
 	for e := range g.EdgeSeq() {
 		v := 1 + dp.Laplace(rng, 1/eps1)
 		if v > theta {
-			edges = append(edges, e)
+			passed = append(passed, e)
 			scores = append(scores, v)
 		}
 	}
 
 	// Non-edges in aggregate: the count of passing zero cells is
 	// Binomial(nonEdges, pPass); sample the count (normal approximation
-	// for the huge population), then draw that many uniform non-edges,
-	// deduplicated through a flat open-addressing set (no per-candidate
-	// map allocations).
+	// for the huge population).
+	count := 0
 	if !math.IsInf(theta, 1) && nonEdges > 0 {
 		pPass := math.Exp(-eps1*theta) / 2
 		if theta < 0 {
@@ -147,36 +149,39 @@ func (t *TmF) Generate(g *graph.Graph, eps float64, rng *rand.Rand, prm algo.Par
 		}
 		mean := nonEdges * pPass
 		std := math.Sqrt(nonEdges * pPass * (1 - pPass))
-		count := int(math.Round(mean + rng.NormFloat64()*std))
+		count = int(math.Round(mean + rng.NormFloat64()*std))
 		if count < 0 {
 			count = 0
 		}
 		if float64(count) > nonEdges {
 			count = int(nonEdges)
 		}
-		seen := newEdgeSet(count)
-		for seen.size < count {
-			u := int32(rng.Intn(n))
-			v := int32(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			e := graph.Canon(u, v)
-			if g.HasEdge(u, v) {
-				continue
-			}
-			if !seen.insert(uint64(e.U)<<32 | uint64(uint32(e.V))) {
-				continue
-			}
-			// Noise value conditioned on passing: θ + Exp(1/ε1) above θ.
-			v2 := theta + rng.ExpFloat64()/eps1
-			edges = append(edges, e)
-			scores = append(scores, v2)
+	}
+
+	// Draw that many distinct uniform non-edges. The candidate list is
+	// the edge set's own insertion-ordered list — the passing true edges,
+	// then the sampled non-edges — and it and the scores are sized for
+	// every candidate up front, so neither regrows while sampling. No
+	// non-edge can collide with a true edge (HasEdge rejects it first),
+	// so seeding the set with them only fixes the candidate order.
+	total := len(passed) + count
+	cands := graph.NewEdgeSet(n, total)
+	for _, e := range passed {
+		cands.Add(e.U, e.V)
+	}
+	scores = slices.Grow(scores, count)
+	for cands.M() < total {
+		u := int32(rng.Intn(n))
+		v := int32(rng.Intn(n))
+		if u == v || g.HasEdge(u, v) || !cands.Add(u, v) {
+			continue
 		}
+		// Noise value conditioned on passing: θ + Exp(1/ε1) above θ.
+		scores = append(scores, theta+rng.ExpFloat64()/eps1)
 	}
 
 	// Stage 3: keep the top-m̃ passing cells.
-	return graph.FromEdges(n, topM(edges, scores, mNoisy, prm)), nil
+	return graph.FromEdges(n, topM(cands.Edges(), scores, mNoisy, prm)), nil
 }
 
 // generateNaive is the ablation baseline: noise every cell explicitly.
@@ -301,42 +306,4 @@ func kthLargest(s []float64, k int) float64 {
 		}
 	}
 	return s[lo]
-}
-
-// edgeSet is a flat open-addressing set of packed (u << 32 | v) edge
-// keys — the allocation-light replacement for the legacy
-// map[graph.Edge]struct{} dedup in the non-edge sampling loop.
-type edgeSet struct {
-	slots []uint64 // key+1; 0 marks an empty slot
-	mask  uint64
-	size  int
-}
-
-func newEdgeSet(capHint int) *edgeSet {
-	sz := 16
-	for sz < 2*(capHint+1) {
-		sz <<= 1
-	}
-	return &edgeSet{slots: make([]uint64, sz), mask: uint64(sz - 1)}
-}
-
-// insert adds key and reports whether it was absent.
-func (s *edgeSet) insert(key uint64) bool {
-	h := key + 1 // shift so key 0 (edge 0-0 never occurs, but be safe)
-	// SplitMix64 finalizer as the hash
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = key + 1
-			s.size++
-			return true
-		case key + 1:
-			return false
-		}
-	}
 }

@@ -9,33 +9,45 @@ import (
 )
 
 // IsGraphical reports whether the degree sequence is realisable as a
-// simple graph, by the Erdős–Gallai theorem.
+// simple graph, by the Erdős–Gallai theorem, in O(n) time: a counting
+// sort orders the degrees descending (every valid degree lies in
+// [0, n)), and each inequality's tail Σ_{i≥k} min(d_i, k) comes in O(1)
+// from a suffix-sum array and a pointer p to the first index with
+// d_i < k, which only moves left as k grows.
 func IsGraphical(degrees []int) bool {
 	n := len(degrees)
-	d := append([]int(nil), degrees...)
-	sort.Sort(sort.Reverse(sort.IntSlice(d)))
+	count := make([]int, n)
 	sum := 0
-	for _, x := range d {
+	for _, x := range degrees {
 		if x < 0 || x >= n {
 			return false
 		}
+		count[x]++
 		sum += x
 	}
 	if sum%2 != 0 {
 		return false
 	}
-	prefix := 0
+	d := make([]int, 0, n)
+	for x := n - 1; x >= 0; x-- {
+		for c := count[x]; c > 0; c-- {
+			d = append(d, x)
+		}
+	}
+	suffix := make([]int, n+1) // suffix[i] = Σ_{j≥i} d_j
+	for i := n - 1; i >= 0; i-- {
+		suffix[i] = suffix[i+1] + d[i]
+	}
+	prefix, p := 0, n
 	for k := 1; k <= n; k++ {
 		prefix += d[k-1]
-		rhs := k * (k - 1)
-		for i := k; i < n; i++ {
-			if d[i] < k {
-				rhs += d[i]
-			} else {
-				rhs += k
-			}
+		for p > 0 && d[p-1] < k {
+			p--
 		}
-		if prefix > rhs {
+		// d_i ≥ k exactly for i < p, so the tail i ≥ k contributes k for
+		// each i in [k, max(k, p)) and d_i beyond.
+		q := max(k, p)
+		if prefix > k*(k-1)+k*(q-k)+suffix[q] {
 			return false
 		}
 	}

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzFromEdgesMatchesBuilder: the direct-CSR FromEdges construction
-// must agree with the naive refBuilder for arbitrary byte-derived edge
-// lists — same fingerprint, same validation outcome. Each consecutive
-// byte pair is one (possibly degenerate) edge over a small node range,
-// so self-loops, duplicates, and out-of-range endpoints all occur.
-func FuzzFromEdgesMatchesBuilder(f *testing.F) {
+// FuzzFromEdges: the direct-CSR FromEdges construction must agree with
+// the naive refBuilder for arbitrary byte-derived edge lists — same
+// fingerprint, same validation outcome — and produce exactly the arrays
+// of the sort-based construction it replaced. Each consecutive byte pair
+// is one (possibly degenerate) edge over a small node range, so
+// self-loops, duplicates, and out-of-range endpoints all occur.
+func FuzzFromEdges(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2}, uint8(5))
 	f.Add([]byte{3, 3, 0, 9, 9, 0}, uint8(4))
 	f.Add([]byte{}, uint8(0))
@@ -34,6 +35,22 @@ func FuzzFromEdgesMatchesBuilder(f *testing.F) {
 		if g.Fingerprint() != ref.Fingerprint() {
 			t.Fatalf("fingerprint mismatch: %x vs %x", g.Fingerprint(), ref.Fingerprint())
 		}
+		if !sameCSR(g, fromEdgesSorted(n, edges)) {
+			t.Fatal("FromEdges arrays differ from the sort-based construction")
+		}
+	})
+}
+
+// FuzzEdgeSet: EdgeSet, grown from capHint 0, must match the map-backed
+// reference for arbitrary operation streams (see checkEdgeSetOps): the
+// same Add and Has answers and M at every step, then the same edge order
+// and built graph.
+func FuzzEdgeSet(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 1, 3, 2, 0, 3, 2, 1, 4, 4}, uint8(5)) // reversed dup, self-loop
+	f.Add([]byte{1, 0, 3, 1, 2, 9, 0, 1, 1}, uint8(4))          // out-of-range endpoints
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, rawN uint8) {
+		checkEdgeSetOps(t, int(rawN), data)
 	})
 }
 

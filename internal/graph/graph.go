@@ -8,7 +8,6 @@ package graph
 import (
 	"fmt"
 	"iter"
-	"slices"
 	"sort"
 )
 
@@ -180,9 +179,9 @@ func (g *Graph) String() string {
 
 // FromEdges constructs a graph with n nodes from an edge list, dropping
 // self-loops, duplicates, and out-of-range endpoints. It builds the CSR
-// arena directly — count, scatter, per-node sort, in-place dedup — with
-// no per-node maps, so it is the cheap path for generators that already
-// hold an edge list.
+// arena directly with no per-node maps and no sorting — count, scatter,
+// ordered second scatter, in-place dedup — so it is the cheap path for
+// generators that already hold an edge list.
 func FromEdges(n int, edges []Edge) *Graph {
 	if n < 0 {
 		n = 0
@@ -200,27 +199,37 @@ func FromEdges(n int, edges []Edge) *Graph {
 	for u := 0; u < n; u++ {
 		off[u+1] += off[u]
 	}
-	nbr := make([]int32, off[n])
+	// First scatter: each node's neighbors in edge-list order.
+	unsorted := make([]int32, off[n])
 	pos := make([]int64, n)
 	copy(pos, off[:n])
 	for _, e := range edges {
 		if keep(e) {
-			nbr[pos[e.U]] = e.V
+			unsorted[pos[e.U]] = e.V
 			pos[e.U]++
-			nbr[pos[e.V]] = e.U
+			unsorted[pos[e.V]] = e.U
 			pos[e.V]++
 		}
 	}
-	// Sort each node's segment and dedup in place, compacting the arena
-	// left; the write cursor never overtakes the read position, and
-	// off[u+1] is only rewritten after segment u+1 has been consumed.
+	// Second scatter: walking w in ascending order and emitting w into
+	// the segment of every u listed in w's unsorted segment leaves each
+	// segment sorted, with duplicate pairs back to back.
+	nbr := make([]int32, off[n])
+	copy(pos, off[:n])
+	for w := 0; w < n; w++ {
+		for _, u := range unsorted[off[w]:off[w+1]] {
+			nbr[pos[u]] = int32(w)
+			pos[u]++
+		}
+	}
+	// Dedup in place, compacting the arena left; the write cursor never
+	// overtakes the read position, and off[u+1] is only rewritten after
+	// segment u+1 has been consumed.
 	w := int64(0)
 	for u := 0; u < n; u++ {
-		seg := nbr[off[u]:off[u+1]]
-		slices.Sort(seg)
 		start := w
 		prev := int32(-1)
-		for _, v := range seg {
+		for _, v := range nbr[off[u]:off[u+1]] {
 			if v != prev {
 				nbr[w] = v
 				w++
@@ -234,20 +243,22 @@ func FromEdges(n int, edges []Edge) *Graph {
 }
 
 // EdgeSet accumulates distinct undirected edges with O(1) membership
-// probes, backed by one hash set keyed on the packed canonical pair plus
-// a flat edge list — the cheap mutable companion of FromEdges for
-// generator loops whose control flow (rejection sampling, rewiring,
-// budget checks) depends on which edges exist so far. Build goes
-// through the direct-CSR FromEdges path; like FromEdges, it silently
-// drops self-loops, duplicates, and out-of-range endpoints.
+// probes, backed by a flat open-addressing table of packed canonical
+// pairs (SplitMix64 hash, linear probing, load ≤ ½) plus an
+// insertion-ordered edge list — the cheap mutable companion of
+// FromEdges for generator loops whose control flow (rejection sampling,
+// rewiring, budget checks) depends on which edges exist so far. The
+// table grows by doubling and rehashing from the edge list. Build goes
+// through FromEdges; like FromEdges, Add silently drops self-loops,
+// duplicates, and out-of-range endpoints.
 type EdgeSet struct {
 	n     int
-	set   map[uint64]struct{}
+	slots []uint64 // packed pair + 1; 0 marks an empty slot
 	edges []Edge
 }
 
-// NewEdgeSet returns an EdgeSet over n nodes; capHint sizes the
-// internal set and edge list (0 is fine).
+// NewEdgeSet returns an EdgeSet over n nodes; capHint sizes the table
+// and edge list so that capHint edges fit without growth (0 is fine).
 func NewEdgeSet(n, capHint int) *EdgeSet {
 	if n < 0 {
 		n = 0
@@ -255,18 +266,41 @@ func NewEdgeSet(n, capHint int) *EdgeSet {
 	if capHint < 0 {
 		capHint = 0
 	}
+	sz := 16 // the smallest power of two ≥ 16 holding capHint keys at load ≤ ½
+	for sz < 2*(capHint+1) {
+		sz <<= 1
+	}
 	return &EdgeSet{
 		n:     n,
-		set:   make(map[uint64]struct{}, capHint),
+		slots: make([]uint64, sz),
 		edges: make([]Edge, 0, capHint),
 	}
 }
 
-func packEdge(u, v int32) uint64 {
+// slotKey is the table entry of the undirected pair {u, v}: the packed
+// canonical pair plus one, so no entry is the empty marker 0.
+func slotKey(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u
 	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	return (uint64(uint32(u))<<32 | uint64(uint32(v))) + 1
+}
+
+// find returns the slot holding key, or the empty slot where it belongs.
+func (s *EdgeSet) find(key uint64) *uint64 {
+	// SplitMix64 finalizer as the hash
+	h := key
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	h ^= h >> 31
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if s.slots[i] == key || s.slots[i] == 0 {
+			return &s.slots[i]
+		}
+	}
 }
 
 // Has reports whether the undirected edge {u, v} has been added.
@@ -274,8 +308,7 @@ func (s *EdgeSet) Has(u, v int32) bool {
 	if u < 0 || v < 0 || int(u) >= s.n || int(v) >= s.n || u == v {
 		return false
 	}
-	_, ok := s.set[packEdge(u, v)]
-	return ok
+	return *s.find(slotKey(u, v)) != 0
 }
 
 // Add inserts the undirected edge {u, v}, ignoring self-loops,
@@ -285,17 +318,30 @@ func (s *EdgeSet) Add(u, v int32) bool {
 	if u < 0 || v < 0 || int(u) >= s.n || int(v) >= s.n || u == v {
 		return false
 	}
-	key := packEdge(u, v)
-	if _, dup := s.set[key]; dup {
+	key := slotKey(u, v)
+	slot := s.find(key)
+	if *slot != 0 {
 		return false
 	}
-	s.set[key] = struct{}{}
+	*slot = key
 	s.edges = append(s.edges, Canon(u, v))
+	if 2*len(s.edges) > len(s.slots) {
+		s.slots = make([]uint64, 2*len(s.slots))
+		for _, e := range s.edges {
+			k := slotKey(e.U, e.V)
+			*s.find(k) = k
+		}
+	}
 	return true
 }
 
 // M returns the number of distinct edges added so far.
 func (s *EdgeSet) M() int { return len(s.edges) }
+
+// Edges returns the distinct edges in insertion order, in canonical
+// orientation — a view of the set's own list. The caller must not
+// modify the returned slice.
+func (s *EdgeSet) Edges() []Edge { return s.edges }
 
 // Build finalizes the accumulated edges into an immutable CSR Graph.
 func (s *EdgeSet) Build() *Graph { return FromEdges(s.n, s.edges) }
